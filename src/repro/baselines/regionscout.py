@@ -221,7 +221,7 @@ class RegionScoutFilter(PlacementListener):
         # crh_buckets), so this memo has no epoch to consult — unlike
         # _plan_cache, whose entries go stale when bucket membership
         # changes and are therefore (epoch, plan) pairs.
-        bucket = self._bucket_memo.get(region)  # repro-lint: disable=RPL120; pure hash memo, never invalidated
+        bucket = self._bucket_memo.get(region)
         if bucket is None:
             bucket = self._bucket_memo[region] = (
                 region * _HASH_MULTIPLIER
@@ -300,19 +300,6 @@ class RegionScoutFilter(PlacementListener):
         nsrt.move_to_end(region)
         while len(nsrt) > self.nsrt_entries:
             nsrt.popitem(last=False)
-
-    def _region_shared_elsewhere(self, core: int, region: int) -> bool:
-        sharers = self._region_sharers.get(region)
-        return sharers is not None and not (len(sharers) == 1 and core in sharers)
-
-    def _nsrt_valid(self, core: int, region: int) -> bool:
-        if region not in self._nsrt[core]:
-            return False
-        # Snoop-driven invalidation: another node acquired the region.
-        if self._region_shared_elsewhere(core, region):
-            del self._nsrt[core][region]
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # Snapshot support (warm-state reuse; see repro.sim.system).

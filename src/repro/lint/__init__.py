@@ -1,18 +1,12 @@
 """repro-lint: AST lint for simulation reproducibility hazards.
 
-Two layers share one rule catalogue and one suppression convention:
-
-* **line-local** (RPL000–RPL006) — per-file rules for unordered set
-  iteration, the shared global RNG, id()-keyed caches, wall-clock reads,
-  mutable default arguments and unstable stats serializer keys;
-* **project** (RPL100 and up, ``repro-lint --project``) — whole-program
-  passes over the :class:`~repro.lint.project.ProjectIndex`: the
-  ``to_dict``/``from_dict`` round-trip contract, the ``STATE_VERSION``
-  fingerprint ratchet, memo-epoch hazards and parallel-task purity.
+Line-local rules (RPL000–RPL006), one file at a time: unordered set
+iteration, the shared global RNG, id()-keyed caches, wall-clock reads,
+mutable default arguments and unstable stats serializer keys.
 
 Suppress a deliberate use with a same-line
 ``# repro-lint: disable=CODE`` comment (codes or rule names, comma
-separated); project findings anchor suppressions at the reported line.
+separated).
 """
 
 from repro.lint.checker import (
@@ -21,34 +15,18 @@ from repro.lint.checker import (
     lint_file,
     lint_paths,
     lint_source,
-    suppressions_for,
-)
-from repro.lint.project import ProjectIndex
-from repro.lint.project_api import (
-    filter_baseline,
-    lint_index,
-    lint_project,
-    load_baseline,
-    write_baseline,
 )
 from repro.lint.rules import RULES, RULES_BY_CODE, RULES_BY_NAME, Rule, resolve_rule
 
 __all__ = [
-    "ProjectIndex",
     "RULES",
     "RULES_BY_CODE",
     "RULES_BY_NAME",
     "Rule",
     "Violation",
-    "filter_baseline",
     "iter_python_files",
     "lint_file",
-    "lint_index",
     "lint_paths",
-    "lint_project",
     "lint_source",
-    "load_baseline",
     "resolve_rule",
-    "suppressions_for",
-    "write_baseline",
 ]

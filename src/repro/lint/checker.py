@@ -131,18 +131,6 @@ def _suppressions(source: str, path: str) -> Tuple[Dict[int, Set[str]], List[Vio
     return table, bad
 
 
-def suppressions_for(
-    source: str, path: str
-) -> Tuple[Dict[int, Set[str]], List[Violation]]:
-    """Public suppression-table builder for other lint layers.
-
-    Project-mode passes (:mod:`repro.lint.project_api`) reuse the exact
-    same same-line ``disable=`` semantics as the line-local checker, so
-    one suppression convention covers every rule family.
-    """
-    return _suppressions(source, path)
-
-
 class _Checker(ast.NodeVisitor):
     """Single-file visitor implementing every catalogue rule."""
 

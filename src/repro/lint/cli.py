@@ -1,20 +1,8 @@
-"""Console entry point: ``repro-lint [paths] [--project] [--json] ...``.
+"""Console entry point: ``repro-lint [paths] [--json] [--list-rules]``.
 
-Modes:
-
-* default — the line-local rules (RPL000–RPL006) over each file;
-* ``--project`` — additionally build the whole-program index and run
-  the four cross-module passes (RPL100s serialization contract, RPL110s
-  state-version ratchet, RPL120 memo-epoch hazard, RPL130s parallel
-  purity);
-* ``--update-fingerprints`` — regenerate the checked-in state-version
-  fingerprint file from the current tree and exit;
-* ``--baseline FILE`` — ratchet mode: only findings not covered by the
-  committed baseline are reported (``--write-baseline`` records the
-  current findings as accepted).
-
-Exit status: 0 when clean, 1 when violations were found, 2 on usage or
-parse errors — the same contract CI relies on.
+Runs the line-local rules (RPL000–RPL006) over each file. Exit status:
+0 when clean, 1 when violations were found, 2 on usage or parse errors
+— the same contract CI relies on.
 """
 
 from __future__ import annotations
@@ -22,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.checker import Violation, lint_paths
-from repro.lint.passes.state_version import DEFAULT_FINGERPRINTS_PATH
 from repro.lint.rules import RULES
 
 
@@ -37,10 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproducibility lint for the virtual-snooping simulator: "
             "line-local rules for unordered-set iteration, global-RNG "
             "use, id()-keyed caches, wall-clock reads, mutable defaults "
-            "and unstable stats serialization keys; --project adds "
-            "cross-module passes for the to_dict/from_dict contract, the "
-            "STATE_VERSION ratchet, memo-epoch hazards and parallel-task "
-            "purity."
+            "and unstable stats serialization keys."
         ),
     )
     parser.add_argument(
@@ -58,38 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the cross-module passes (RPL100 and up)",
-    )
-    parser.add_argument(
-        "--fingerprints",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            f"state-version fingerprint file "
-            f"(default: {DEFAULT_FINGERPRINTS_PATH})"
-        ),
-    )
-    parser.add_argument(
-        "--update-fingerprints",
-        action="store_true",
-        help="regenerate the fingerprint file from the current tree and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="ratchet mode: report only findings not in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings into --baseline and exit 0",
     )
     return parser
 
@@ -119,65 +70,14 @@ def _list_rules(as_json: bool) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         return _list_rules(args.json)
-    if args.write_baseline and args.baseline is None:
-        parser.error("--write-baseline requires --baseline FILE")
-
-    # Deferred import: project mode pulls in the pass package, which the
-    # plain line-local path does not need.
-    from repro.lint import project_api
-    from repro.lint.passes import state_version
-    from repro.lint.project import ProjectIndex
-
-    if args.update_fingerprints:
-        try:
-            index = ProjectIndex.build(args.paths)
-        except (OSError, ValueError) as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-        target = args.fingerprints or state_version.DEFAULT_FINGERPRINTS_PATH
-        document = state_version.update_fingerprints(index, target)
-        if document is None:
-            print(
-                f"repro-lint: {state_version.DEFAULT_VERSION_SYMBOL} not "
-                f"found under {' '.join(args.paths)}; nothing to fingerprint",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"repro-lint: wrote {len(document['entities'])} fingerprint(s) to {target}")
-        return 0
-
     try:
         violations: List[Violation] = lint_paths(args.paths)
-        if args.project:
-            violations.extend(
-                project_api.lint_project(
-                    args.paths, fingerprints_path=args.fingerprints
-                )
-            )
-            violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule.code))
     except (OSError, ValueError) as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.baseline is not None:
-        if args.write_baseline:
-            project_api.write_baseline(args.baseline, violations)
-            print(
-                f"repro-lint: recorded {len(violations)} finding(s) into "
-                f"{args.baseline}"
-            )
-            return 0
-        try:
-            accepted = project_api.load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
-        violations = project_api.filter_baseline(violations, accepted)
 
     if args.json:
         print(json.dumps([v.to_dict() for v in violations], indent=2))

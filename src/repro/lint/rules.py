@@ -99,108 +99,6 @@ RULES: Tuple[Rule, ...] = (
             "runs."
         ),
     ),
-    # ------------------------------------------------------------------
-    # Cross-module project passes (repro.lint.passes). These need the
-    # whole-program index built by repro.lint.project and only run under
-    # ``repro-lint --project``.
-    # ------------------------------------------------------------------
-    Rule(
-        code="RPL100",
-        name="serialization-missing-field",
-        summary="dataclass field never emitted by its to_dict serializer",
-        rationale=(
-            "A to_dict/from_dict pair is the persistence contract for "
-            "checkpoints, the result store and golden artifacts. A field "
-            "that to_dict never writes silently disappears from every "
-            "artifact: from_dict(to_dict(x)) loses state and resumed or "
-            "store-served runs stop being bit-identical."
-        ),
-    ),
-    Rule(
-        code="RPL101",
-        name="serialization-asymmetry",
-        summary="to_dict and from_dict disagree about a serialized key",
-        rationale=(
-            "to_dict emitting a key from_dict cannot accept (or from_dict "
-            "reconstructing a key to_dict never writes) means the round "
-            "trip either raises on load or quietly fabricates state. Both "
-            "sides of the pair must agree on the key set."
-        ),
-    ),
-    Rule(
-        code="RPL102",
-        name="omit-requires-default",
-        summary="conditionally-omitted serialized field cannot be reconstructed",
-        rationale=(
-            "The omit-when-empty convention (SimStats.metrics, "
-            "snoop_map_sizes, sanitizer_violations) keeps old artifacts "
-            "bit-identical, but it only round-trips if the dataclass "
-            "field has a default (or from_dict tolerates the key's "
-            "absence). A conditional emit of a default-less field makes "
-            "from_dict(to_dict(x)) raise exactly when the field is empty."
-        ),
-    ),
-    Rule(
-        code="RPL110",
-        name="state-version-ratchet",
-        summary="snapshot/store-identity-relevant shape changed without a STATE_VERSION bump",
-        rationale=(
-            "The result store and warm-snapshot cache trust STATE_VERSION "
-            "to invalidate entries when simulation semantics change. "
-            "Adding or removing a field on an identity-relevant class "
-            "without bumping it (or regenerating the fingerprint file "
-            "after a proven bit-identical change) lets stale cache "
-            "entries be served as current results."
-        ),
-    ),
-    Rule(
-        code="RPL111",
-        name="stale-fingerprints",
-        summary="checked-in fingerprint file out of date; run repro-lint --update-fingerprints",
-        rationale=(
-            "The ratchet only works while the committed fingerprints "
-            "describe the current code. After a STATE_VERSION bump (or a "
-            "watchlist change) the file must be regenerated and committed "
-            "so the next drift is detected against the right baseline."
-        ),
-    ),
-    Rule(
-        code="RPL120",
-        name="memo-epoch-hazard",
-        summary="cache/memo attribute read without consulting the class's epoch counter",
-        rationale=(
-            "A class that carries an invalidation epoch (the plan-cache "
-            "family: *_version / *_epoch counters) promises its memoised "
-            "state is revalidated on every read. A method that reads a "
-            "*_cache/*_memo attribute without consulting any epoch serves "
-            "entries that survived an invalidation — the exact bug class "
-            "the snoop-domain version stamp exists to prevent."
-        ),
-    ),
-    Rule(
-        code="RPL130",
-        name="parallel-global-write",
-        summary="function reachable from a parallel task writes a module-level global",
-        rationale=(
-            "parallel_map task functions run in worker processes — or "
-            "inline when jobs=1 — so a module-global write either "
-            "silently vanishes (processes) or leaks between cells "
-            "(inline), and the two paths stop being bit-identical. Task "
-            "code must keep all state in its arguments and return value."
-        ),
-    ),
-    Rule(
-        code="RPL131",
-        name="parallel-mutable-capture",
-        summary="function reachable from a parallel task mutates captured module state",
-        rationale=(
-            "Mutating a module-level list/dict/set from task code has the "
-            "same split-brain failure as writing a global: each worker "
-            "process mutates its own copy while the inline path mutates "
-            "shared state, so results depend on the job count. Pass data "
-            "in, return data out."
-        ),
-    ),
 )
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in RULES}

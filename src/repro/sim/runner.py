@@ -138,7 +138,7 @@ def run_simulation_task(task: SimTask) -> SimStats:
     # sends its result over the pipe, and the serial path pops it right
     # after task_fn returns — and it is reset here at cell entry, so
     # nothing leaks across cells on either path.
-    global _last_diagnostics  # repro-lint: disable=RPL130; same-process side channel, popped per cell
+    global _last_diagnostics
     _last_diagnostics = None
     store = get_store()
     if store is not None:

@@ -110,7 +110,7 @@ def get_store() -> Optional["ResultStore"]:
     # only by the REPRO_STORE environment each worker inherits), and the
     # store itself is content-addressed on disk — workers never need to
     # see each other's in-memory handle.
-    global _store, _store_root  # repro-lint: disable=RPL130; per-process env-keyed memo, idempotent
+    global _store, _store_root
     root = store_root()
     if root is None:
         _store, _store_root = None, None

@@ -13,10 +13,10 @@ They are selected by ``SimConfig.suite`` / ``repro-sim run --suite`` and
 swept by ``repro-sim experiment patterns``.
 
 ``SUITES``' keys are part of the store/snapshot identity surface (a
-suite name in a config determines the workload byte-for-byte), so the
-dict literal is on the repro-lint RPL110 fingerprint watchlist — adding
-or renaming a suite requires regenerating fingerprints (or a
-STATE_VERSION bump if existing suites change meaning).
+suite name in a config determines the workload byte-for-byte), so they
+are pinned by the state-version fingerprint test — adding or renaming a
+suite requires regenerating fingerprints (or a STATE_VERSION bump if
+existing suites change meaning).
 """
 
 from __future__ import annotations

@@ -88,6 +88,19 @@ class TestRegionScoutFilter:
             f.observe_outcome(0, region * 64)
         assert len(f._nsrt[0]) == 2
 
+    def test_plan_cache_revalidates_after_bucket_epoch_bump(self):
+        f = self.make_filter()
+        bucket = f.bucket_of(0)
+        colliding = next(r for r in range(1, 1 << 16) if f.bucket_of(r) == bucket)
+        before = f.plan(0, 1, PageType.VM_PRIVATE, block=7)  # region 0
+        assert before.attempts[0] == frozenset({0})
+        assert f.plan(0, 1, PageType.VM_PRIVATE, block=7) is before  # memoised
+        # Core 2 caches another region hashed to the same CRH bucket: the
+        # bucket's membership epoch moves, so the memoised plan is stale.
+        f.trackers[2].on_insert(CacheLine(colliding << f.region_bits, 1))
+        after = f.plan(0, 1, PageType.VM_PRIVATE, block=7)
+        assert 2 in after.attempts[0]
+
     def test_no_block_falls_back_to_broadcast(self):
         f = self.make_filter()
         plan = f.plan(0, 1, PageType.VM_PRIVATE)

@@ -1,10 +1,11 @@
 """Suite-wide pytest hooks.
 
 ``--update-golden`` rewrites the golden-run corpus under
-``tests/golden/data/`` from the current simulator output instead of
-comparing against it. Use it after an *intentional* behaviour change,
-eyeball the diff of the regenerated JSON, and commit the data files with
-the code change that caused them (see CHANGES.md conventions).
+``tests/golden/data/`` and the state-version fingerprints in
+``tests/store/state_fingerprints.json`` from the current code instead of
+comparing against them. Use it after an *intentional* change, eyeball
+the diff of the regenerated JSON, and commit the data files with the
+code change that caused them (see CHANGES.md conventions).
 """
 
 import os
@@ -39,5 +40,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="regenerate tests/golden/data/*.json instead of asserting",
+        help=(
+            "regenerate tests/golden/data/*.json and "
+            "tests/store/state_fingerprints.json instead of asserting"
+        ),
     )

@@ -1,25 +1,17 @@
-"""Suppression comments: multi-code lists, mixed tokens, project rules.
+"""Suppression comments: multi-code lists and mixed tokens.
 
 ``# repro-lint: disable=...`` must accept comma-separated lists mixing
-codes and rule names, report unknown tokens (RPL000) without losing the
-valid ones, and — for the cross-module passes — anchor at the line the
-finding is *reported* on.
+codes and rule names, and report unknown tokens (RPL000) without losing
+the valid ones.
 """
 
 import textwrap
 
-from repro.lint import lint_project, lint_source
-
-from tests.lint.test_project import write_package
+from repro.lint import lint_source
 
 
 def codes(source: str):
     return [v.rule.code for v in lint_source(textwrap.dedent(source))]
-
-
-# ----------------------------------------------------------------------
-# Line-local rules.
-# ----------------------------------------------------------------------
 
 
 def test_multi_code_list_suppresses_both_rules_on_one_line():
@@ -69,68 +61,3 @@ def test_trailing_reason_after_semicolon_is_allowed():
     """
     assert codes(source) == []
 
-
-# ----------------------------------------------------------------------
-# Cross-module rules: suppression anchors at the reported line.
-# ----------------------------------------------------------------------
-
-_HAZARD = """
-    class Filter:
-        def __init__(self):
-            self._plan_cache = {{}}
-            self._plan_epoch = 0
-
-        def plan(self, key):
-            return self._plan_cache.get(key){comment}
-"""
-
-
-def _memo_tree(tmp_path, comment: str):
-    return write_package(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/filt.py": _HAZARD.format(comment=comment),
-        },
-    )
-
-
-def test_project_rule_suppressed_on_reported_line(tmp_path):
-    root = _memo_tree(
-        tmp_path, "  # repro-lint: disable=RPL120; cache is rebuilt per call"
-    )
-    assert lint_project([str(root)]) == []
-
-
-def test_project_rule_suppression_accepts_rule_name(tmp_path):
-    root = _memo_tree(tmp_path, "  # repro-lint: disable=memo-epoch-hazard")
-    assert lint_project([str(root)]) == []
-
-
-def test_project_rule_not_suppressed_by_other_line(tmp_path):
-    # A suppression on the method definition line does not cover the
-    # read two lines below — anchoring is at the *reported* line.
-    root = write_package(
-        tmp_path,
-        {
-            "pkg/__init__.py": "",
-            "pkg/filt.py": """
-                class Filter:
-                    def __init__(self):
-                        self._plan_cache = {}
-                        self._plan_epoch = 0
-
-                    def plan(self, key):  # repro-lint: disable=RPL120
-                        return self._plan_cache.get(key)
-            """,
-        },
-    )
-    assert [v.rule.code for v in lint_project([str(root)])] == ["RPL120"]
-
-
-def test_project_rule_unsuppressed_reports_at_read_line(tmp_path):
-    root = _memo_tree(tmp_path, "")
-    violations = lint_project([str(root)])
-    assert [v.rule.code for v in violations] == ["RPL120"]
-    # Line 8 of the dedented fixture is the cache read.
-    assert violations[0].line == 8
