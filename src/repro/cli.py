@@ -563,8 +563,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         # row is the per-access rate.
         from dataclasses import replace
 
-        from repro.sim.mtstream import HAVE_NUMPY
-
         rates = {}
         summaries = {}
         for kernel in ("reference", "batched"):
@@ -581,8 +579,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             suffix = ""
             if reference_rate and batched_rate:
                 suffix = f"  ({reference_rate / batched_rate:.1f}x vs reference)"
-            fallback = "" if HAVE_NUMPY else "  [numpy absent: stepper fallback]"
-            print(f"    batched:   {batched_rate:8.2f} us/access{suffix}{fallback}")
+            print(f"    batched:   {batched_rate:8.2f} us/access{suffix}")
         summary = summaries["batched"]
         if summary is not None:
             bulk = summary["bulk_transacts"]

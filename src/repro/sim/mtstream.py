@@ -1,103 +1,16 @@
-"""Bulk word streams from a ``random.Random``, bit-exact.
+"""Placeholders for the retired MT19937 word path of the batched kernel.
 
-CPython's ``random.Random`` and NumPy's ``np.random.MT19937`` are the
-*same* generator — Mersenne Twister 19937 with identical tempering — so
-the 624-word internal state of one can be transplanted into the other
-and both then produce the identical sequence of 32-bit words.
-``random()`` consumes exactly two words (``(a >> 5) * 2**26 + (b >> 6)``
-over ``2**53``) and ``getrandbits(k)`` for ``k <= 32`` consumes exactly
-one (``word >> (32 - k)``), so any consumer whose draws reduce to those
-two primitives can be replayed from a flat word buffer.
-
-:class:`WordStream` packages that trick for the batched simulation
-kernel (:mod:`repro.sim.kernel`):
-
-* :meth:`WordStream.raw` pulls the next ``n`` tempered output words in
-  bulk via ``MT19937.random_raw`` — the exact
-  ``genrand_uint32`` sequence the source ``Random`` would emit, at C
-  speed;
-* :meth:`WordStream.sync_back` writes the source ``Random`` forward to
-  the position after ``consumed`` words, so over-fetched (buffered but
-  unconsumed) words are returned to the generator and every later draw
-  through the normal ``random.Random`` API continues bit-identically.
-
-The module degrades gracefully without NumPy: :data:`HAVE_NUMPY` is
-False and the kernel falls back to its pure-Python chunked path, which
-draws through the ordinary ``Random`` methods and needs no word stream.
+Exists only because bench/ imports these names (``HAVE_NUMPY`` for its
+environment stamp, ``WordStream.raw`` as a trace seam); deleted by the
+next benchmark change, which drops the workloads.word_* seams.
 """
 
-from __future__ import annotations
-
-import random
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both CI lanes
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-_MT_N = 624  # MT19937 state words
-
-
-def _transplant(key, pos):
-    """A ``np.random.MT19937`` positioned at (key, pos)."""
-    bit_generator = _np.random.MT19937()
-    bit_generator.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": _np.array(key, dtype=_np.uint64), "pos": pos},
-    }
-    return bit_generator
+# False whether or not NumPy is installed: nothing in the simulator uses
+# it. bench/child.py imports NumPy after a run when this is True, which
+# would add NumPy's ~8 MiB to the peak RSS the benchmark reports.
+HAVE_NUMPY = False
 
 
 class WordStream:
-    """Exact bulk replica of one ``random.Random``'s word sequence.
-
-    Forks from ``rng.getstate()`` at construction; :meth:`raw` then
-    serves words from the fork. The source ``rng`` is *not* advanced
-    until :meth:`sync_back`, which positions it exactly ``consumed``
-    words past the fork point — callers over-fetch freely and settle at
-    a phase boundary. One stream serves one phase; fork a fresh one per
-    phase.
-    """
-
-    __slots__ = ("_rng", "_version", "_key", "_pos", "_gauss", "_bit_generator")
-
-    def __init__(self, rng: random.Random) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("WordStream requires numpy (install repro[fast])")
-        self._rng = rng
-        state = rng.getstate()
-        self._version = state[0]
-        internal = state[1]
-        if self._version != 3 or len(internal) != _MT_N + 1:
-            raise RuntimeError(
-                f"unsupported random.Random state format "
-                f"(version={self._version}, len={len(internal)})"
-            )
-        self._key = internal[:-1]
-        self._pos = internal[-1]
-        # gauss_next is carried through untouched: the workload never
-        # draws gauss, but a third party might have, and dropping the
-        # cached value would desynchronise it.
-        self._gauss = state[2]
-        self._bit_generator = _transplant(self._key, self._pos)
-
-    def raw(self, count: int):
-        """The next ``count`` output words as a uint64 ndarray."""
-        return self._bit_generator.random_raw(count)
-
-    def sync_back(self, consumed: int) -> None:
-        """Advance the source ``Random`` to ``consumed`` words past the fork.
-
-        ``consumed`` may be any value covered by :meth:`raw` calls so
-        far (typically less: the tail of the last buffer was fetched but
-        never used). Replays the fork state forward rather than trusting
-        the serving generator's position, so over-fetch is free.
-        """
-        bit_generator = _transplant(self._key, self._pos)
-        if consumed:
-            bit_generator.random_raw(consumed)
-        state = bit_generator.state["state"]
-        internal = tuple(int(word) for word in state["key"]) + (int(state["pos"]),)
-        self._rng.setstate((self._version, internal, self._gauss))
+    def raw(self, count):
+        raise RuntimeError("word path removed")

@@ -17,7 +17,7 @@ materialising one vCPU's accesses ahead of time cannot reorder another
 vCPU's draws, and :attr:`stream_chunk_independent` is True for any vCPU
 count. That puts every pattern on the batched kernel's chunk path
 natively (``VmWorkload`` only qualifies single-vCPU; its multi-vCPU VMs
-need the word path). Per access, in fixed order: one category draw, one
+take the per-access step path). Per access, in fixed order: one category draw, one
 write draw, then the pool sampler's draws.
 
 The flip side of per-vCPU independence: a VM's vCPUs walk the shared

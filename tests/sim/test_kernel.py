@@ -5,9 +5,9 @@ run's ``SimStats.to_dict()`` is *equal* — not statistically close — to
 the reference engine's on the identical configuration. The boundary
 cases target exactly the places a chunked kernel can silently diverge:
 migration windows and metrics samples landing inside a chunk, COW
-writes and shared-line evictions bailing out mid-chunk, refills landing
-on access boundaries (``REPRO_KERNEL_BLOCK=32``), chunk size 1 via a
-single-access budget, and trace-replay exhaustion mid-phase.
+writes and shared-line evictions bailing out mid-chunk, migration
+windows landing mid-phase on the per-access step path, chunk size 1 via
+a single-access budget, and trace-replay exhaustion mid-phase.
 """
 
 import json
@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filter import ContentPolicy, SnoopPolicy
+from repro.sim import kernel
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchedEngine, engine_for, stream_chunk_shim
+from repro.sim.mtstream import WordStream
 from repro.sim.system import build_system
 from repro.workloads.generator import VmWorkload
 from repro.workloads.profiles import PROFILES
@@ -139,9 +141,9 @@ class TestDifferential:
 
 class TestRefillEdges:
     def test_tiny_word_blocks(self, monkeypatch):
-        # 32-word refills land mid-access constantly; validation walks
-        # the packed cache mirror at every phase end.
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "32")
+        # Multi-vCPU VMs step per access while migration windows land
+        # mid-phase; validation walks the packed cache mirror at every
+        # phase end.
         monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
         assert_identical(
             replace(
@@ -151,6 +153,23 @@ class TestRefillEdges:
                 hypervisor_activity_enabled=True,
             )
         )
+
+
+class TestPathSelection:
+    def test_multi_vcpu_vms_step_and_word_stubs_are_inert(self):
+        # BASE runs 2 VMs x 2 vCPUs: no workload is chunk-eligible, so
+        # every vCPU takes the step path. The retired word-path names
+        # survive only as raising stubs, so a batched run that completes
+        # and matches reference never touched them.
+        system = build_system(BASE, PROFILES["fft"])
+        assert not any(
+            w.stream_chunk_independent for w in system.workloads.values()
+        )
+        assert_identical(BASE)
+        with pytest.raises(RuntimeError):
+            kernel._encode(None, None)
+        with pytest.raises(RuntimeError):
+            WordStream().raw(1)
 
 
 class TestEngineSelection:

@@ -4,9 +4,10 @@ The seam applies eligible same-VM private misses inline in the batched
 kernel instead of descending through ``_transact``. Everything here
 pins its hard edges: migration windows and metrics samples landing in
 the middle of a bulk run, dirty/shared victims forcing mid-run
-bail-outs, deadline-clamped refills under a tiny ``REPRO_KERNEL_BLOCK``,
-sanitized runs disabling the seam entirely, and the bail-out histogram
-that records why misses stayed on the reference path. All differential
+bail-outs, mid-phase deadlines on the per-access step path and
+deadline-clamped chunk refills, sanitized runs disabling the seam
+entirely, and the bail-out histogram that records why misses stayed on
+the reference path. All differential
 assertions are byte-equality of ``SimStats.to_dict()`` — the seam's
 contract is exactness, not approximation.
 """
@@ -106,10 +107,9 @@ class TestBulkDifferential:
         )
 
     def test_deadline_clamped_word_refills(self, monkeypatch):
-        # Tiny word blocks force constant refills while migration and
-        # metrics deadlines clamp the chunk boundaries; packed-mirror
-        # validation runs at every phase end.
-        monkeypatch.setenv("REPRO_KERNEL_BLOCK", "32")
+        # Multi-vCPU VMs step per access while migration and metrics
+        # deadlines land mid-phase; packed-mirror validation runs at
+        # every phase end.
         monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
         assert_identical(
             SimConfig(
