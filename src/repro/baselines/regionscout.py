@@ -30,8 +30,9 @@ Hot-path structure
 the original formulation walked every core's tracker on each call —
 O(num_cores) dictionary probes per transaction, which made this baseline
 an order of magnitude slower than the virtual-snooping filter. The
-rewrite keeps two *derived* maps on the filter, maintained incrementally
-by the trackers on exact-count and CRH-bucket transitions:
+rewrite keeps two *derived* maps in a :class:`RegionMaps` that the filter
+shares with its trackers, maintained incrementally by the trackers on
+exact-count and CRH-bucket transitions:
 
 * ``_region_sharers``: region -> set of cores whose exact count is
   non-zero (the ground truth ``caches_region`` answers), and
@@ -69,13 +70,33 @@ DEFAULT_NSRT_ENTRIES = 32
 _HASH_MULTIPLIER = 2654435761
 
 
+class RegionMaps:
+    """The derived maps every tracker of one filter keeps up to date.
+
+    ``region_sharers`` maps a region to the cores whose exact count is
+    non-zero; ``bucket_cores``/``bucket_epochs`` hold per-CRH-bucket
+    membership and its change epoch; ``bucket_memo`` memoises the
+    region-to-bucket hash. Trackers hold this leaf object rather than
+    the filter that owns them, so the filter/tracker graph has no
+    reference cycle. The containers are only ever mutated in place.
+    """
+
+    __slots__ = ("region_sharers", "bucket_cores", "bucket_epochs", "bucket_memo")
+
+    def __init__(self, crh_buckets: int) -> None:
+        self.region_sharers: Dict[int, Set[int]] = {}
+        self.bucket_cores: List[Set[int]] = [set() for _ in range(crh_buckets)]
+        self.bucket_epochs: List[int] = [0] * crh_buckets
+        self.bucket_memo: Dict[int, int] = {}
+
+
 class RegionTracker(CacheObserver):
     """Per-core region occupancy: exact counts plus the CRH summary.
 
-    Standalone trackers (no ``owner``) behave exactly as before; trackers
-    created by :class:`RegionScoutFilter` additionally maintain the
-    filter's shared region-sharer and bucket-membership maps on count
-    transitions, which is what makes the filter's plan path O(1).
+    Standalone trackers (no ``maps``) only keep their own counts;
+    trackers created by :class:`RegionScoutFilter` additionally maintain
+    the filter's shared :class:`RegionMaps` on count transitions, which
+    is what makes the filter's plan path O(1).
     """
 
     def __init__(
@@ -83,12 +104,12 @@ class RegionTracker(CacheObserver):
         region_bits: int,
         crh_buckets: int,
         core: int = -1,
-        owner: Optional["RegionScoutFilter"] = None,
+        maps: Optional[RegionMaps] = None,
     ) -> None:
         self.region_bits = region_bits
         self.crh_buckets = crh_buckets
         self.core = core
-        self._owner = owner
+        self._maps = maps
         self._region_counts: Dict[int, int] = {}
         self._crh = [0] * crh_buckets
 
@@ -100,28 +121,34 @@ class RegionTracker(CacheObserver):
         return (region * _HASH_MULTIPLIER) % self.crh_buckets
 
     def on_insert(self, line: CacheLine) -> None:
-        # Inlined _region_of/_bucket: this observer fires on every L2
-        # insert, and the helper-call overhead is measurable there.
+        # Inlined _region_of/_bucket and the bucket memo: this observer
+        # fires on every L2 insert, and the helper-call overhead is
+        # measurable there.
         region = line.block >> self.region_bits
         counts = self._region_counts
         count = counts.get(region, 0)
         counts[region] = count + 1
         if count == 0:
-            owner = self._owner
-            if owner is None:
+            maps = self._maps
+            if maps is None:
                 bucket = (region * _HASH_MULTIPLIER) % self.crh_buckets
             else:
-                bucket = owner.bucket_of(region)
-                sharers = owner._region_sharers.get(region)
+                memo = maps.bucket_memo
+                bucket = memo.get(region)
+                if bucket is None:
+                    bucket = memo[region] = (
+                        region * _HASH_MULTIPLIER
+                    ) % self.crh_buckets
+                sharers = maps.region_sharers.get(region)
                 if sharers is None:
-                    owner._region_sharers[region] = {self.core}
+                    maps.region_sharers[region] = {self.core}
                 else:
                     sharers.add(self.core)
             crh = self._crh
             crh[bucket] += 1
-            if owner is not None and crh[bucket] == 1:
-                owner._bucket_cores[bucket].add(self.core)
-                owner._bucket_epochs[bucket] += 1
+            if maps is not None and crh[bucket] == 1:
+                maps.bucket_cores[bucket].add(self.core)
+                maps.bucket_epochs[bucket] += 1
 
     def on_evict(self, line: CacheLine) -> None:
         self._remove(line)
@@ -137,21 +164,26 @@ class RegionTracker(CacheObserver):
             raise RuntimeError(f"region counter underflow for region {region:#x}")
         if count == 1:
             del counts[region]
-            owner = self._owner
-            if owner is None:
+            maps = self._maps
+            if maps is None:
                 bucket = (region * _HASH_MULTIPLIER) % self.crh_buckets
             else:
-                bucket = owner.bucket_of(region)
-                sharers = owner._region_sharers.get(region)
+                memo = maps.bucket_memo
+                bucket = memo.get(region)
+                if bucket is None:
+                    bucket = memo[region] = (
+                        region * _HASH_MULTIPLIER
+                    ) % self.crh_buckets
+                sharers = maps.region_sharers.get(region)
                 if sharers is not None:
                     sharers.discard(self.core)
                     if not sharers:
-                        del owner._region_sharers[region]
+                        del maps.region_sharers[region]
             crh = self._crh
             crh[bucket] -= 1
-            if owner is not None and crh[bucket] == 0:
-                owner._bucket_cores[bucket].discard(self.core)
-                owner._bucket_epochs[bucket] += 1
+            if maps is not None and crh[bucket] == 0:
+                maps.bucket_cores[bucket].discard(self.core)
+                maps.bucket_epochs[bucket] += 1
         else:
             counts[region] = count - 1
 
@@ -189,15 +221,17 @@ class RegionScoutFilter(PlacementListener):
         self.all_cores: FrozenSet[int] = frozenset(range(num_cores))
         # Derived maps (see module docstring): region -> exact sharer
         # cores, and per-bucket CRH membership with change epochs. The
-        # trackers keep them incrementally consistent with their counts.
-        self._region_sharers: Dict[int, Set[int]] = {}
-        self._bucket_cores: List[Set[int]] = [set() for _ in range(crh_buckets)]
-        self._bucket_epochs: List[int] = [0] * crh_buckets
+        # trackers keep them incrementally consistent with their counts;
+        # the aliases below are the same containers, never rebound.
+        maps = RegionMaps(crh_buckets)
+        self._region_sharers = maps.region_sharers
+        self._bucket_cores = maps.bucket_cores
+        self._bucket_epochs = maps.bucket_epochs
         # region -> CRH bucket, shared across all trackers (identical
         # hash everywhere), so the multiply-mod runs once per region.
-        self._bucket_memo: Dict[int, int] = {}
+        self._bucket_memo = maps.bucket_memo
         self.trackers: Dict[int, RegionTracker] = {
-            core: RegionTracker(self.region_bits, crh_buckets, core=core, owner=self)
+            core: RegionTracker(self.region_bits, crh_buckets, core=core, maps=maps)
             for core in range(num_cores)
         }
         self.nsrt_entries = nsrt_entries
@@ -324,12 +358,13 @@ class RegionScoutFilter(PlacementListener):
 
         Mutates the existing trackers in place (the caches hold them as
         observers) and rebuilds the derived sharer/bucket maps from the
-        restored counts; plan caches are dropped, epochs restart at zero.
+        restored counts, in place too (the trackers share them); plan
+        caches are dropped, epochs restart at zero.
         """
         self._region_sharers.clear()
         for bucket_set in self._bucket_cores:
             bucket_set.clear()
-        self._bucket_epochs = [0] * self.crh_buckets
+        self._bucket_epochs[:] = [0] * self.crh_buckets
         self._plan_cache.clear()
         self._self_plans.clear()
         for core, tracker in self.trackers.items():

@@ -4,6 +4,7 @@ vCPU maps (snoop domains), per-VM cache residence counters, and the
 filter policies that decide each coherence transaction's destination set.
 """
 
+from repro.core.clock import SimClock
 from repro.core.domains import RemovalRecord, SnoopDomainTable
 from repro.core.filter import ContentPolicy, SnoopPolicy, VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
@@ -12,6 +13,7 @@ __all__ = [
     "ContentPolicy",
     "RemovalRecord",
     "ResidenceTracker",
+    "SimClock",
     "SnoopDomainTable",
     "SnoopPolicy",
     "UNTRACKED_VM",

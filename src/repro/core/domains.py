@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.core.clock import SimClock
+
 
 class RemovalRecord:
     """One old-core removal, for the Figure 9 CDF."""
@@ -57,6 +59,10 @@ class SnoopDomainTable:
     ``max_removal_log`` records, overflow counted in
     ``removal_log_dropped`` — the hook sees every removal, so streaming
     consumers stay exact on unbounded runs.
+
+    ``clock`` stamps residence-driven removals (see
+    :meth:`removal_hook`); the engine replaces it with its own
+    :class:`~repro.core.clock.SimClock`.
     """
 
     def __init__(
@@ -75,6 +81,7 @@ class SnoopDomainTable:
         self.max_removal_log = max_removal_log
         self.removal_log_dropped = 0
         self.map_hook: Optional[MapHook] = None
+        self.clock: Callable[[], int] = SimClock()
         self.map_updates = 0
         # Monotonic epoch, bumped on every domain-content change. Plan
         # caches key their validity on it: any vCPU placement, removal or
@@ -153,6 +160,20 @@ class SnoopDomainTable:
             period = cycle - started if started is not None else 0
             self.map_hook(vm_id, core, False, len(domain), cycle, period)
         return True
+
+    def removal_hook(self) -> Callable[[int, int, int], None]:
+        """A residence tracker's ``on_low`` hook: try to drop the core.
+
+        A closure over this table only, never over the filter: the
+        filter owns the trackers, so a hook into it would tie the two
+        into a reference cycle.
+        """
+        try_remove = self.try_remove
+
+        def on_low(core: int, vm_id: int, count: int) -> None:
+            try_remove(vm_id, core, self.clock())
+
+        return on_low
 
     def _notify(self, vm_id: int) -> None:
         self.version += 1

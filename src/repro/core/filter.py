@@ -75,17 +75,20 @@ class VirtualSnoopFilter(PlacementListener):
         self.policy = policy
         self.content_policy = content_policy
         self.counter_threshold = counter_threshold
-        self.clock = clock if clock is not None else (lambda: 0)
         self.domains = SnoopDomainTable(num_cores, sync_hook)
+        if clock is not None:
+            self.domains.clock = clock
         self.all_cores: FrozenSet[int] = frozenset(range(num_cores))
         # Residence counters fire at the policy's removal watermark:
         # zero for `counter`, threshold-1 for `counter-threshold`
-        # ("becomes under a threshold" = count < threshold).
+        # ("becomes under a threshold" = count < threshold). Policies
+        # without counter-driven removal install no hook at all.
         watermark = 0
         if policy is SnoopPolicy.VSNOOP_COUNTER_THRESHOLD:
             watermark = counter_threshold - 1
+        on_low = self.domains.removal_hook() if policy.uses_counters else None
         self.trackers: Dict[int, ResidenceTracker] = {
-            core: ResidenceTracker(core, watermark, self._on_low_residence)
+            core: ResidenceTracker(core, watermark, on_low)
             for core in range(num_cores)
         }
         self._friends: Dict[int, int] = {}
@@ -95,6 +98,15 @@ class VirtualSnoopFilter(PlacementListener):
         # (the table carries a version epoch bumped on every map edit).
         self._plan_cache: Dict[tuple, RequestPlan] = {}
         self._plan_cache_version = self.domains.version
+
+    @property
+    def clock(self) -> Callable[[], int]:
+        """The cycle source; kept on the domain table, which stamps removals."""
+        return self.domains.clock
+
+    @clock.setter
+    def clock(self, clock: Callable[[], int]) -> None:
+        self.domains.clock = clock
 
     # ------------------------------------------------------------------
     # Friend-VM configuration.
@@ -194,23 +206,14 @@ class VirtualSnoopFilter(PlacementListener):
         )
 
     # ------------------------------------------------------------------
-    # Residence events.
-    # ------------------------------------------------------------------
-
-    def _on_low_residence(self, core: int, vm_id: int, count: int) -> None:
-        if not self.policy.uses_counters:
-            return
-        self.domains.try_remove(vm_id, core, self.clock())
-
-    # ------------------------------------------------------------------
     # PlacementListener interface (driven by the hypervisor).
     # ------------------------------------------------------------------
 
     def on_vcpu_placed(self, vm_id: int, core: int) -> None:
-        self.domains.vcpu_placed(vm_id, core, self.clock())
+        self.domains.vcpu_placed(vm_id, core, self.domains.clock())
 
     def on_vcpu_displaced(self, vm_id: int, core: int) -> None:
-        cycle = self.clock()
+        cycle = self.domains.clock()
         self.domains.vcpu_displaced(vm_id, core, cycle)
         # If the counter is already at/below the watermark the core can be
         # dropped immediately (e.g. the VM never cached anything here).

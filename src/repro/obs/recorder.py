@@ -23,6 +23,7 @@ migrations`` counts swaps, so series totals come to exactly twice it).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 from repro.obs.series import MetricsSeries, MetricsWindow
@@ -33,12 +34,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class MetricsRecorder:
-    """Samples one system's counters into fixed-width windows."""
+    """Samples one system's counters into fixed-width windows.
+
+    The system owns the recorder and the hypervisor/domain hooks point
+    at it, so it holds the system only weakly; it reads the system at
+    window boundaries, never per access.
+    """
 
     def __init__(self, system: "SimulatedSystem", sample_every: int) -> None:
         if sample_every <= 0:
             raise ValueError(f"sample_every must be positive, got {sample_every}")
-        self.system = system
+        self._system = weakref.ref(system)
         self.sample_every = sample_every
         self.windows: list = []
         self._active = False
@@ -48,6 +54,13 @@ class MetricsRecorder:
         self._base_snoops = 0
         self._base_retries = 0
         self._base_network_bytes = 0
+
+    @property
+    def system(self) -> "SimulatedSystem":
+        system = self._system()
+        if system is None:
+            raise ReferenceError("the recorded system no longer exists")
+        return system
 
     # ------------------------------------------------------------------
     # Engine-driven sampling.

@@ -34,8 +34,10 @@ every hook; ``build_system`` calls it when ``SimConfig.trace`` or
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
+from repro.core.clock import SimClock
 from repro.obs.events import (
     MapEvent,
     MigrationEvent,
@@ -58,16 +60,32 @@ def _coalesce(value: Optional[int], fallback: int = -1) -> int:
 
 
 class Tracer:
-    """Emits structured events for one run into a :class:`TraceSink`."""
+    """Emits structured events for one run into a :class:`TraceSink`.
+
+    The system owns the tracer and the hooks it installs (relocation,
+    vCPU map, sanitizer) point at it, so it holds the system only
+    weakly. The one back edge it cannot avoid — the engine's wrapped
+    ``_transact``, a bound method of the engine that owns the wrapper —
+    is dropped in :meth:`close`.
+    """
 
     def __init__(self, system: "SimulatedSystem", sink: TraceSink) -> None:
-        self.system = system
+        self._system = weakref.ref(system)
         self.sink = sink
         self.enabled = False  # opened by begin_measurement
-        self.clock: Callable[[], int] = lambda: 0
-        self._plan_fn = None
+        self.clock: Callable[[], int] = SimClock()
         self._transact_fn = None
         self._last_plan = None
+        # The protocol's coherence statistics, bound at the measurement
+        # boundary (the engine swaps them in just before it).
+        self._coherence = None
+
+    @property
+    def system(self) -> "SimulatedSystem":
+        system = self._system()
+        if system is None:
+            raise ReferenceError("the traced system no longer exists")
+        return system
 
     def write_header(self) -> None:
         config = self.system.config
@@ -90,17 +108,21 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def wrap_plan(self, plan_fn):
-        """Wrap the filter's plan function; stashes each produced plan."""
-        self._plan_fn = plan_fn
-        return self._traced_plan
+        """Wrap the filter's plan function; stashes each produced plan.
 
-    def _traced_plan(self, core, vm_id, page_type, block=None):
-        # plan() is called exactly once per transaction, immediately
-        # before execute(), on one thread — so the stash is always the
-        # transaction the wrapped _transact below is reporting.
-        plan = self._plan_fn(core, vm_id, page_type, block)
-        self._last_plan = plan
-        return plan
+        A closure, not stored here: ``plan_fn`` reaches the domain table,
+        whose map hook reaches this tracer.
+        """
+
+        def traced_plan(core, vm_id, page_type, block=None):
+            # plan() is called exactly once per transaction, immediately
+            # before execute(), on one thread — so the stash is always
+            # the transaction the wrapped _transact below is reporting.
+            plan = plan_fn(core, vm_id, page_type, block)
+            self._last_plan = plan
+            return plan
+
+        return traced_plan
 
     def wrap_transact(self, transact_fn):
         """Wrap the engine's per-transaction entry point."""
@@ -116,7 +138,7 @@ class Tracer:
                 core, vm_id, block, is_write, page_type, initiator, vm_tag,
                 hierarchy, hit,
             )
-        coherence = self.system.protocol.stats
+        coherence = self._coherence
         snoops_before = coherence.snoops
         retries_before = coherence.retries
         latency = self._transact_fn(
@@ -189,12 +211,19 @@ class Tracer:
 
     def begin_measurement(self, cycle: int) -> None:
         """Open the event gate at the measured-phase boundary."""
+        self._coherence = self.system.protocol.stats
         self.enabled = True
         self.sink.emit(PhaseEvent(cycle=cycle, phase="measure"))
 
     def close(self, final_cycle: int) -> None:
-        """Write the end record; the trace is incomplete without it."""
+        """Write the end record; the trace is incomplete without it.
+
+        Also drops the wrapped engine entry point, the only reference
+        from the tracer back to the engine.
+        """
         self.sink.close(final_cycle)
+        self._transact_fn = None
+        self._last_plan = None
 
 
 def attach_observability(

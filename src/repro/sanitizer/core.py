@@ -33,6 +33,7 @@ soak runs (mode ``"count"``).
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,6 +48,7 @@ from typing import (
 from repro.cache.setassoc import CompositeObserver
 from repro.coherence.plan import RequestPlan
 from repro.coherence.registry import MEMORY
+from repro.core.clock import SimClock
 from repro.core.filter import SnoopPolicy, VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
 from repro.mem.pagetype import PageType
@@ -70,15 +72,33 @@ _NON_SPECULATIVE = (
 
 
 class CoherenceSanitizer:
-    """Shadow ground truth plus the invariant checks wired around it."""
+    """Shadow ground truth plus the invariant checks wired around it.
+
+    The system owns the sanitizer and its caches own the shadows, so the
+    sanitizer holds the system and the shadows weakly and keeps strong
+    references only to components that never point back at it (the
+    registry and the filter). The per-event and per-transaction checks
+    read those directly; only violation counting and the audit go
+    through the system.
+    """
 
     def __init__(self, system: "SimulatedSystem", mode: str = "raise") -> None:
         if mode not in ("raise", "count"):
             raise ValueError(f"sanitize_mode must be 'raise' or 'count', got {mode!r}")
-        self.system = system
+        self._system = weakref.ref(system)
+        self._registry = system.registry
+        self._snoop_filter = system.snoop_filter
+        trackers = getattr(system.snoop_filter, "trackers", None) or {}
+        self._trackers: Dict[int, ResidenceTracker] = {
+            core: tracker
+            for core, tracker in trackers.items()
+            if isinstance(tracker, ResidenceTracker)
+        }
         self.mode = mode
-        self.clock: Callable[[], int] = lambda: 0
-        self.shadows: Dict[int, ShadowCache] = {}
+        self.clock: Callable[[], int] = SimClock()
+        self.shadows: "weakref.WeakValueDictionary[int, ShadowCache]" = (
+            weakref.WeakValueDictionary()
+        )
         self._holders: Dict[int, Set[int]] = {}
         self.violations: List[SanitizerViolation] = []
         self.counters: Dict[str, int] = {
@@ -90,10 +110,16 @@ class CoherenceSanitizer:
             "audits": 0,
         }
         self._plan_fn: Optional[Callable[..., RequestPlan]] = None
-        self._execute_fn: Optional[Callable[..., Any]] = None
         # Observability tap: called with every violation before it is
         # raised or counted (the tracer records a ViolationEvent here).
         self.on_violation: Optional[Callable[[SanitizerViolation], None]] = None
+
+    @property
+    def system(self) -> "SimulatedSystem":
+        system = self._system()
+        if system is None:
+            raise ReferenceError("the sanitized system no longer exists")
+        return system
 
     # ------------------------------------------------------------------
     # Wiring.
@@ -121,8 +147,23 @@ class CoherenceSanitizer:
         return self.checked_plan
 
     def wrap_execute(self, execute_fn: Callable[..., Any]) -> Callable[..., Any]:
-        self._execute_fn = execute_fn
-        return self.checked_execute
+        """Wrap the protocol's execute; see :meth:`checked_execute`.
+
+        The wrapper closes over the protocol rather than being stored on
+        the sanitizer: the protocol reaches the caches, whose observers
+        reach the sanitizer, so a sanitizer-held reference would be a
+        cycle.
+        """
+        protocol = self.system.protocol
+        checked = self.checked_execute
+
+        def checked_execute(core, vm_id, block, is_write, plan, cycle=0):
+            return checked(
+                execute_fn, protocol.stats, core, vm_id, block, is_write,
+                plan, cycle,
+            )
+
+        return checked_execute
 
     # ------------------------------------------------------------------
     # Shadow bookkeeping helpers (used by ShadowCache).
@@ -140,10 +181,16 @@ class CoherenceSanitizer:
     def drop_holders(self, block: int) -> None:
         self._holders.pop(block, None)
 
-    def check_tracker(self, core: int, vm_id: int, event: str) -> None:
-        """Check (b) incrementally for the (core, vm) an event touched."""
+    def check_tracker(
+        self, core: int, vm_id: int, event: str, true_count: int
+    ) -> None:
+        """Check (b) incrementally for the (core, vm) an event touched.
+
+        ``true_count`` is the shadow's count of the VM's lines on the
+        core (the shadow passes its own, so this path needs no lookup).
+        """
         self.counters["events_checked"] += 1
-        tracker = self._tracker(core)
+        tracker = self._trackers.get(core)
         if tracker is None:
             return
         if vm_id == UNTRACKED_VM:
@@ -160,7 +207,6 @@ class CoherenceSanitizer:
                     )
                 )
             return
-        true_count = self.shadows[core].count(vm_id)
         tracked = tracker.count(vm_id)
         if tracked != true_count:
             self.report(
@@ -197,6 +243,8 @@ class CoherenceSanitizer:
 
     def checked_execute(
         self,
+        execute_fn: Callable[..., Any],
+        stats: Any,
         core: int,
         vm_id: int,
         block: int,
@@ -204,13 +252,15 @@ class CoherenceSanitizer:
         plan: RequestPlan,
         cycle: int = 0,
     ) -> Any:
-        """Protocol wrapper: predict the attempt count, verify it charged."""
-        assert self._execute_fn is not None
+        """Protocol wrapper: predict the attempt count, verify it charged.
+
+        ``stats`` is the protocol's live coherence statistics, whose
+        retry counter the transaction must advance.
+        """
         self.counters["transactions_checked"] += 1
         expected = self._expected_attempts(core, block, is_write, plan)
-        stats = self.system.protocol.stats
         retries_before = stats.retries
-        outcome = self._execute_fn(core, vm_id, block, is_write, plan, cycle=cycle)
+        outcome = execute_fn(core, vm_id, block, is_write, plan, cycle=cycle)
         if expected is not None:
             if outcome.attempts_used != expected:
                 self.report(
@@ -305,7 +355,7 @@ class CoherenceSanitizer:
                         details={"missed_first": sorted(needed - plan.attempts[0])},
                     )
                 )
-        snoop_filter = self.system.snoop_filter
+        snoop_filter = self._snoop_filter
         if (
             page_type is PageType.VM_PRIVATE
             and isinstance(snoop_filter, VirtualSnoopFilter)
@@ -329,7 +379,7 @@ class CoherenceSanitizer:
 
     def _check_block_state(self, block: int) -> None:
         """(c) registry record for ``block`` agrees with the true holders."""
-        state = self.system.registry.state_of(block)
+        state = self._registry.state_of(block)
         holders = self._holders.get(block, EMPTY)
         sharers = state.sharers if state is not None else EMPTY
         if set(sharers) != set(holders):
@@ -381,7 +431,7 @@ class CoherenceSanitizer:
         """
         if plan.ro_shared and not is_write:
             return 1
-        state = self.system.registry.state_of(block)
+        state = self._registry.state_of(block)
         sharers = state.sharers if state is not None else EMPTY
         owner = state.owner if state is not None else MEMORY
         for index, destinations in enumerate(plan.attempts):
@@ -445,7 +495,7 @@ class CoherenceSanitizer:
                         },
                     )
                 )
-            tracker = self._tracker(core)
+            tracker = self._trackers.get(core)
             if tracker is not None and tracker.counts() != counts:
                 self.report(
                     SanitizerViolation(
@@ -456,7 +506,7 @@ class CoherenceSanitizer:
                         details={"counters": tracker.counts(), "true_counts": counts},
                     )
                 )
-        registry = self.system.registry
+        registry = self._registry
         for block, state in registry._blocks.items():
             holders = true_holders.get(block, set())
             if set(state.sharers) != holders:
@@ -496,7 +546,7 @@ class CoherenceSanitizer:
 
     def _audit_domains(self, cycle: int) -> None:
         """(d) globally: every core with a VM's lines sits in its map."""
-        snoop_filter = self.system.snoop_filter
+        snoop_filter = self._snoop_filter
         if not isinstance(snoop_filter, VirtualSnoopFilter):
             return
         if snoop_filter.policy not in _NON_SPECULATIVE:
@@ -545,17 +595,6 @@ class CoherenceSanitizer:
         out = dict(self.counters)
         out["violations"] = self.violation_count
         return out
-
-    # ------------------------------------------------------------------
-    # Internals.
-    # ------------------------------------------------------------------
-
-    def _tracker(self, core: int) -> Optional[ResidenceTracker]:
-        trackers = getattr(self.system.snoop_filter, "trackers", None)
-        if trackers is None:
-            return None
-        tracker = trackers.get(core)
-        return tracker if isinstance(tracker, ResidenceTracker) else None
 
 
 def attach_sanitizer(

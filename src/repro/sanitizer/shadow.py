@@ -30,7 +30,12 @@ EMPTY: FrozenSet[int] = frozenset()
 
 
 class ShadowCache(CacheObserver):
-    """Shadow inventory of one core's L2, fed by cache observer events."""
+    """Shadow inventory of one core's L2, fed by cache observer events.
+
+    The cache owns its shadow and the shadow references its sanitizer;
+    the sanitizer keeps its shadows only weakly, so this edge closes no
+    cycle.
+    """
 
     def __init__(self, core: int, sanitizer: "CoherenceSanitizer") -> None:
         self.core = core
@@ -59,7 +64,9 @@ class ShadowCache(CacheObserver):
         sanitizer.holders_of(line.block, create=True).add(self.core)
         if line.vm_id != UNTRACKED_VM:
             self.vm_counts[line.vm_id] = self.vm_counts.get(line.vm_id, 0) + 1
-        sanitizer.check_tracker(self.core, line.vm_id, "insert")
+        sanitizer.check_tracker(
+            self.core, line.vm_id, "insert", self.vm_counts.get(line.vm_id, 0)
+        )
 
     def on_evict(self, line: CacheLine) -> None:
         self._remove(line, "evict")
@@ -108,7 +115,7 @@ class ShadowCache(CacheObserver):
                 self.vm_counts.pop(tag, None)
             else:
                 self.vm_counts[tag] = count
-        sanitizer.check_tracker(self.core, tag, event)
+        sanitizer.check_tracker(self.core, tag, event, self.vm_counts.get(tag, 0))
 
     # ------------------------------------------------------------------
     # Queries.

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 
 
 from repro.cache.line import CacheLine
+from repro.core.clock import SimClock
 from repro.core.residence import UNTRACKED_VM
 from repro.hypervisor.vm import DOM0_VM_ID, VCpu
 from repro.mem.pagetype import PageType
@@ -37,12 +38,17 @@ class SimulationEngine:
         self.system = system
         self.config = system.config
         self.stats = system.stats
-        self.now = 0
+        # The simulated cycle, shared with the filter and the observers.
+        # A leaf object rather than a closure over the engine: the
+        # components never point back at the engine, so the whole graph
+        # is acyclic and a finished cell is freed by reference counting
+        # (tests/sim/test_reclaim.py).
+        self.clock = SimClock()
         self._rng = random.Random(f"engine/{self.config.seed}")
         self._vcpus: List[VCpu] = [
             vcpu for vm in system.vms for vcpu in vm.vcpus
         ]
-        system.snoop_filter.clock = lambda: self.now  # used by vsnoop filters
+        system.snoop_filter.clock = self.clock  # used by vsnoop filters
         self._observe_outcome = getattr(system.snoop_filter, "observe_outcome", None)
         period = self.config.migration_period_cycles
         self._migration_period = period
@@ -62,7 +68,7 @@ class SimulationEngine:
         # bit-identical to an unsanitized run).
         self._sanitizer = system.sanitizer
         if self._sanitizer is not None:
-            self._sanitizer.clock = lambda: self.now
+            self._sanitizer.clock = self.clock
             self._plan = self._sanitizer.wrap_plan(self._plan)
             self._execute = self._sanitizer.wrap_execute(self._execute)
         # Opt-in tracer (repro.obs): wraps the plan seam (to capture each
@@ -72,7 +78,7 @@ class SimulationEngine:
         # ones; like it, a pure observer — stats stay bit-identical.
         self._tracer = system.tracer
         if self._tracer is not None:
-            self._tracer.clock = lambda: self.now
+            self._tracer.clock = self.clock
             self._plan = self._tracer.wrap_plan(self._plan)
             self._transact = self._tracer.wrap_transact(self._transact)
         # Opt-in metrics recorder: the hot loop compares each popped
@@ -90,12 +96,13 @@ class SimulationEngine:
         # RW-shared marking, page frees), so a memo hit is always current.
         # Inner dicts are pre-built and cleared *in place* so the hot loop
         # can hold direct per-vCPU references to them across invalidations.
+        # The hook closes over the memo, not the engine (no cycle).
         self._xlate_memo: dict = {}
         for vm in system.vms:
             self._xlate_memo[vm.vm_id] = {}
         self._xlate_memo.setdefault(DOM0_VM_ID, {})
         self._xlate_memo.setdefault(HYPERVISOR_SPACE, {})
-        self._memory.translation_change_hook = self._clear_xlate_memo
+        self._memory.translation_change_hook = _memo_clearer(self._xlate_memo)
         # Per-vCPU generation closures, built once: a vCPU's VM and
         # stream index never change (only its core does), so neither the
         # steppers nor the trace-replay adapters depend on phase state.
@@ -112,10 +119,6 @@ class SimulationEngine:
                 # Trace-replay (or other) workloads expose only the
                 # MemoryAccess API; adapt it to the stepper signature.
                 self._steppers.append(_step_adapter(workload, vcpu.index))
-
-    def _clear_xlate_memo(self) -> None:
-        for memo in self._xlate_memo.values():
-            memo.clear()
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -154,9 +157,10 @@ class SimulationEngine:
         if warmup > 0:
             # The access loop allocates heavily into long-lived containers
             # (cache lines, registry state), which makes the cyclic GC fire
-            # constantly for no reclaimable garbage. Everything the engine
-            # allocates is reachable or refcount-collected, so pausing the
-            # collector for the phase is purely a speed-up.
+            # constantly for no reclaimable garbage. The engine allocates
+            # no reference cycles (the system graph is acyclic, pinned by
+            # tests/sim/test_reclaim.py), so pausing the collector for the
+            # phase is purely a speed-up.
             gc_was_enabled = gc.isenabled()
             gc.disable()
             try:
@@ -265,9 +269,10 @@ class SimulationEngine:
         # self.stats is only swapped between phases, never during one.
         stats = self.stats
         l1_by_page_type = stats.l1_accesses_by_page_type
+        clock = self.clock
         while heap:
             local_time, _, index = heappop(heap)
-            self.now = local_time
+            clock.now = local_time
             if local_time >= boundary:
                 # Same check order as the pre-fold loop: sample first,
                 # then migration, each against its own deadline.
@@ -392,9 +397,10 @@ class SimulationEngine:
         return final
 
     def _maybe_migrate(self) -> None:
-        if self._next_migration is None or self.now < self._next_migration:
+        now = self.clock.now
+        if self._next_migration is None or now < self._next_migration:
             return
-        while self.now >= self._next_migration:
+        while now >= self._next_migration:
             self._shuffle_two_vcpus()
             self._next_migration += self._migration_period
 
@@ -405,7 +411,7 @@ class SimulationEngine:
         if not others:
             return
         second = self._rng.choice(others)
-        self.system.hypervisor.swap_vcpus(first, second, cycle=self.now)
+        self.system.hypervisor.swap_vcpus(first, second, cycle=self.clock.now)
         self.stats.migrations += 1
 
     def _reset_measurements(self, cycle: int = 0) -> None:
@@ -484,7 +490,7 @@ class SimulationEngine:
         plan.
         """
         outcome = self._execute(
-            core, vm_id, block, is_write, plan, cycle=self.now
+            core, vm_id, block, is_write, plan, cycle=self.clock.now
         )
         if not hit:
             # Inlined PrivateHierarchy.fill (see that method for the
@@ -516,7 +522,7 @@ class SimulationEngine:
                 del l1_set[next(iter(l1_set))]
             l1_set[block] = CacheLine(block, vm_tag, dirty)
             if victim is not None:
-                self._handle_eviction(core, victim, cycle=self.now)
+                self._handle_eviction(core, victim, cycle=self.clock.now)
         if self._observe_outcome is not None:
             self._observe_outcome(core, block)
         return outcome.latency
@@ -562,10 +568,21 @@ class SimulationEngine:
             stats.snoop_map_sizes = {
                 vm.vm_id: domains.domain_size(vm.vm_id) for vm in system.vms
             }
+        now = self.clock.now
         if self._metrics is not None:
-            stats.metrics = self._metrics.finish(self.now)
+            stats.metrics = self._metrics.finish(now)
         if self._tracer is not None:
-            self._tracer.close(self.now)
+            self._tracer.close(now)
+
+
+def _memo_clearer(xlate_memo: dict):
+    """The memory manager's translation-change hook: clear every memo."""
+
+    def clear() -> None:
+        for memo in xlate_memo.values():
+            memo.clear()
+
+    return clear
 
 
 def _step_adapter(workload, index: int):

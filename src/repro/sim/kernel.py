@@ -568,7 +568,8 @@ class BatchedEngine(SimulationEngine):
                     else completion
                 )
 
-        local_time = self.now
+        clock = self.clock
+        local_time = clock.now
         if heap:
             item = heappop(heap)
         else:
@@ -577,10 +578,10 @@ class BatchedEngine(SimulationEngine):
             local_time, _, index, count = item
             if local_time >= boundary:
                 if local_time >= next_sample:
-                    self.now = local_time
+                    clock.now = local_time
                     next_sample = metrics.sample(local_time)
                 if migrate and local_time >= next_migration:
-                    self.now = local_time
+                    clock.now = local_time
                     self._maybe_migrate()
                     next_migration = self._next_migration
                     cores = [v.core for v in vcpus]
@@ -629,12 +630,12 @@ class BatchedEngine(SimulationEngine):
                 if guest_page in vm_memo:
                     host_page, page_type = vm_memo[guest_page]
                     if is_write and page_type is ro_shared:
-                        self.now = local_time
+                        clock.now = local_time
                         host_page, page_type = write_to_page(
                             vm_id, guest_page
                         )
                 else:
-                    self.now = local_time
+                    clock.now = local_time
                     if is_write:
                         entry = write_to_page(vm_id, guest_page)
                     else:
@@ -647,7 +648,7 @@ class BatchedEngine(SimulationEngine):
                     if guest_page in hyp_memo:
                         host_page, page_type = hyp_memo[guest_page]
                     else:
-                        self.now = local_time
+                        clock.now = local_time
                         host_page, page_type = rw_shared_translate(
                             HYPERVISOR_SPACE, guest_page
                         )
@@ -655,7 +656,7 @@ class BatchedEngine(SimulationEngine):
                     if guest_page in dom0_memo:
                         host_page, page_type = dom0_memo[guest_page]
                     else:
-                        self.now = local_time
+                        clock.now = local_time
                         host_page, page_type = rw_shared_translate(
                             DOM0_VM_ID, guest_page
                         )
@@ -684,7 +685,7 @@ class BatchedEngine(SimulationEngine):
                                 bail["store-upgrade"] = (
                                     bail.get("store-upgrade", 0) + 1
                                 )
-                            self.now = local_time
+                            clock.now = local_time
                             latency += transact(
                                 core, vm_id, block, True, page_type,
                                 initiator, vm_tag, hierarchies[core], True,
@@ -694,7 +695,7 @@ class BatchedEngine(SimulationEngine):
                             bail["store-upgrade"] = (
                                 bail.get("store-upgrade", 0) + 1
                             )
-                        self.now = local_time
+                        clock.now = local_time
                         latency += transact(
                             core, vm_id, block, True, page_type,
                             initiator, vm_tag, hierarchies[core], True,
@@ -726,7 +727,7 @@ class BatchedEngine(SimulationEngine):
                                     bail["store-upgrade"] = (
                                         bail.get("store-upgrade", 0) + 1
                                     )
-                                self.now = local_time
+                                clock.now = local_time
                                 latency += transact(
                                     core, vm_id, block, True, page_type,
                                     initiator, vm_tag, hierarchy, True,
@@ -736,7 +737,7 @@ class BatchedEngine(SimulationEngine):
                                 bail["store-upgrade"] = (
                                     bail.get("store-upgrade", 0) + 1
                                 )
-                            self.now = local_time
+                            clock.now = local_time
                             latency += transact(
                                 core, vm_id, block, True, page_type,
                                 initiator, vm_tag, hierarchy, True,
@@ -744,7 +745,7 @@ class BatchedEngine(SimulationEngine):
                 else:
                     hierarchy = hierarchies[core]
                     hierarchy.misses += 1
-                    self.now = local_time
+                    clock.now = local_time
                     if bulk is not None:
                         extra = bulk(
                             core, vm_id, block, is_write, page_type,
@@ -779,7 +780,7 @@ class BatchedEngine(SimulationEngine):
             else:
                 final[index] = next_time
                 item = heappop(heap) if heap else None
-        self.now = local_time
+        clock.now = local_time
         stats.l1_accesses += budget * len(vcpus)
         self._next_sample = next_sample
         if os.environ.get(_VALIDATE_ENV):
