@@ -72,41 +72,3 @@ def content_policy_results():
 def fig1_results():
     return fig01_l2_decomposition.run()
 
-
-def headline_metrics() -> dict:
-    """Headline numbers for the ``BENCH_<rev>.json`` regression guard.
-
-    Only campaigns that already ran this session (their ``lru_cache`` is
-    populated) are summarised — asking for headlines never triggers a
-    multi-minute sweep on its own.
-    """
-    metrics: dict = {}
-    if pinned_results.cache_info().currsize:
-        rows = pinned_results()
-        traffic = [r["traffic_reduction_pct"] for r in rows.values()]
-        runtime = [r["runtime_norm_pct"] for r in rows.values()]
-        if traffic:
-            metrics["pinned_avg_traffic_reduction_pct"] = sum(traffic) / len(traffic)
-            metrics["pinned_avg_runtime_norm_pct"] = sum(runtime) / len(runtime)
-    if migration_results_slow.cache_info().currsize:
-        rows = migration_results_slow()
-        snoops = [
-            cell["snoops_norm_pct"]
-            for by_period in rows.values()
-            for period, by_policy in by_period.items()
-            for name, cell in by_policy.items()
-            if name == "counter" and period == 2.5
-        ]
-        if snoops:
-            metrics["migration_counter_2p5ms_avg_snoops_pct"] = sum(snoops) / len(snoops)
-    if content_policy_results.cache_info().currsize:
-        rows = content_policy_results()
-        memdir = [r["memory-direct"] for r in rows.values() if "memory-direct" in r]
-        if memdir:
-            metrics["content_memory_direct_avg_snoops_pct"] = sum(memdir) / len(memdir)
-    if fig1_results.cache_info().currsize:
-        rows = fig1_results()
-        overhead = [r["dom0"] + r["xen"] for r in rows.values()]
-        if overhead:
-            metrics["fig1_avg_dom0_xen_pct"] = sum(overhead) / len(overhead)
-    return metrics

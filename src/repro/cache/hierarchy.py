@@ -29,8 +29,8 @@ class AccessResult:
     def __init__(self, level: str, latency: int) -> None:
         self.level = level
         self.latency = latency
-        # Plain attribute, not a property: `hit` is read on every access
-        # and a Python-level property call would dominate the fast path.
+        # Plain attribute, not a property: the reference engine reads
+        # `hit` once per simulated access.
         self.hit = level != AccessResult.MISS
 
     def __repr__(self) -> str:
@@ -68,10 +68,10 @@ class PrivateHierarchy:
         self._l1_result = AccessResult(AccessResult.L1, l1_latency)
         self._l2_result = AccessResult(AccessResult.L2, l1_latency + l2_latency)
         self._miss_result = AccessResult(AccessResult.MISS, l1_latency + l2_latency)
-        # Direct references into both caches' set arrays: `access` is the
-        # per-simulated-access hot path and routing every lookup through
-        # SetAssociativeCache.lookup costs a Python call per level. The
-        # set list and mask are fixed for the cache's lifetime.
+        # Direct references into both caches' set arrays, fixed for the
+        # cache's lifetime: `access` and the batched kernel's call-free
+        # copy of it index them directly, and the system snapshot
+        # captures and restores them in place.
         self._l1_sets = self.l1._sets
         self._l1_mask = self.l1._set_mask
         self._l1_ways = self.l1.ways
@@ -79,8 +79,9 @@ class PrivateHierarchy:
         self._l2_mask = self.l2._set_mask
         self._l2_ways = self.l2.ways
         self._l2_observer = self.l2.observer
-        # The inlined L1 promote in `access` assumes the L1 carries no
-        # observer (only the L2 has one — the residence counters).
+        # The L1 promote in `access` (and the batched kernel's copy)
+        # assumes the L1 carries no observer (only the L2 has one — the
+        # residence counters).
         assert self.l1.observer is None
 
     def access(self, block: int, vm_id: int, is_write: bool) -> AccessResult:
@@ -90,7 +91,10 @@ class PrivateHierarchy:
         allocation — the caller runs the coherence transaction and then
         calls :meth:`fill`.
 
-        Inlined equivalent of ``l1.lookup`` / ``l2.lookup`` (see __init__).
+        The reference engine's lookup: equivalent to ``l1.lookup`` then
+        ``l2.lookup`` with the promote as ``l1.insert``, spelled on the set
+        dicts directly (see __init__). The batched kernel inlines the same
+        operations in the same order.
         """
         l1_set = self._l1_sets[block & self._l1_mask]
         l1_line = l1_set.get(block)

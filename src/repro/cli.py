@@ -154,9 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("auto", "batched", "reference"),
                          help="execution kernel: the chunked fast-path "
                          "kernel (batched), the canonical per-access loop "
-                         "(reference), or auto (batched unless a sanitizer/"
-                         "tracer is attached). Bit-identical results either "
-                         "way; only speed differs")
+                         "(reference, the readable spec), or auto (batched, "
+                         "unless REPRO_KERNEL names a kernel). Bit-identical "
+                         "results either way; only speed differs")
         cmd.add_argument("--sanitize", action="store_true",
                          help="enable the runtime coherence sanitizer "
                          "(ground-truth residence shadow + snoop-filter "
@@ -449,37 +449,6 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _profiled_measure_rate(config, app):
-    """Measured-phase ``(us/access, bulk summary)`` under cProfile.
-
-    Builds (or snapshot-restores) a fresh system, then times only the
-    measured phase with the profiler enabled — the same conditions the
-    main ``repro-sim profile`` report runs under, so the kernel
-    comparison rows are like-for-like. The bulk summary is the batched
-    engine's ``bulk_summary()`` (``None`` for the reference engine,
-    which has no bulk-miss seam).
-    """
-    import cProfile
-    import time
-
-    from repro.sim import SimTask
-    from repro.sim.runner import prepare_task
-
-    system, engine, clocks = prepare_task(SimTask(config, app))
-    profiler = cProfile.Profile()
-    start = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
-    profiler.enable()
-    engine.measure(clocks)
-    profiler.disable()
-    elapsed = time.perf_counter() - start  # repro-lint: disable=RPL004; real-time profiling
-    summary_fn = getattr(engine, "bulk_summary", None)
-    summary = summary_fn() if summary_fn is not None else None
-    accesses = system.stats.l1_accesses
-    if not accesses:
-        return None, summary
-    return 1e6 * elapsed / accesses, summary
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one simulation under cProfile; print the top-N hotspots.
 
@@ -520,10 +489,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(stream.getvalue().rstrip())
     stats = system.stats
     if stats.l1_accesses:
-        rate = (
-            f"{1e6 * elapsed / stats.l1_accesses:.2f} us/access; "
-            f"expect ~2x faster unprofiled"
-        )
+        rate = f"{1e6 * elapsed / stats.l1_accesses:.2f} us/access"
     else:
         # --accesses 0: a per-access rate would be division by zero (or,
         # dodged, a nonsense number): say so instead.
@@ -556,43 +522,22 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     else:
         print("  store: disabled (REPRO_STORE=off)")
-    if stats.l1_accesses:
-        # Reference-vs-batched comparison: one measured phase per kernel
-        # under identical profiled conditions. Results are bit-identical
-        # across kernels by construction, so the only difference worth a
-        # row is the per-access rate.
-        from dataclasses import replace
-
-        rates = {}
-        summaries = {}
-        for kernel in ("reference", "batched"):
-            variant = replace(config, kernel=kernel, trace=None, sanitize=False)
-            rates[kernel], summaries[kernel] = _profiled_measure_rate(
-                variant, args.app
+    # The bulk-miss seam's diagnostics, from the profiled run's own
+    # engine (only the batched kernel has the seam).
+    summary_fn = getattr(engine, "bulk_summary", None)
+    if summary_fn is not None:
+        summary = summary_fn()
+        bulk = summary["bulk_transacts"]
+        bailouts = summary["bailouts"]
+        bailed = sum(bailouts.values())
+        seen = bulk + bailed
+        if seen:
+            print(
+                f"  bulk-miss seam: {bulk}/{seen} transactions inline "
+                f"({100 * bulk / seen:.1f}%), {bailed} bailed out"
             )
-        reference_rate = rates["reference"]
-        batched_rate = rates["batched"]
-        print("  kernel comparison (measured phase, profiled):")
-        if reference_rate is not None:
-            print(f"    reference: {reference_rate:8.2f} us/access")
-        if batched_rate is not None:
-            suffix = ""
-            if reference_rate and batched_rate:
-                suffix = f"  ({reference_rate / batched_rate:.1f}x vs reference)"
-            print(f"    batched:   {batched_rate:8.2f} us/access{suffix}")
-        summary = summaries["batched"]
-        if summary is not None:
-            bulk = summary["bulk_transacts"]
-            bailouts = summary["bailouts"]
-            bailed = sum(bailouts.values())
-            seen = bulk + bailed
-            if seen:
-                print(
-                    f"    bulk-miss seam: {bulk}/{seen} transactions inline "
-                    f"({100 * bulk / seen:.1f}%), {bailed} bailed out"
-                )
-                for reason, count in bailouts.items():
-                    print(f"      bail {reason}: {count}")
+            for reason, count in bailouts.items():
+                print(f"    bail {reason}: {count}")
     return 0
 
 

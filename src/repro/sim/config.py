@@ -109,13 +109,13 @@ class SimConfig:
     trace: Optional[str] = None
     trace_format: str = "auto"
     metrics_sample_every: Optional[int] = None
-    # Execution kernel. "reference" is the engine's canonical per-access
-    # loop; "batched" is the chunked fast-path kernel (repro.sim.kernel),
-    # proven bit-identical by the golden corpus and the differential
-    # suites; "auto" picks batched except when an opt-in observer
-    # (sanitizer/tracer) is attached, and honours the REPRO_KERNEL
-    # environment override. Bit-identity means the choice never changes
-    # a result — only wall-clock time.
+    # Execution kernel. "reference" is the engine's plain per-access
+    # loop, the executable spec; "batched" is the chunked fast-path
+    # kernel (repro.sim.kernel), proven bit-identical to it by the golden
+    # corpus and the differential suites; "auto" is batched (observers
+    # attached or not) unless the REPRO_KERNEL environment override names
+    # a kernel. Bit-identity means the choice never changes a result —
+    # only wall-clock time.
     kernel: str = "auto"
 
     def __post_init__(self) -> None:

@@ -90,12 +90,14 @@ class SimulationEngine:
         self._write_to_page = system.hypervisor.write_to_page
         layout = system.layout
         self._page_shift = layout.page_bits - layout.block_bits
-        # Guest-load translation memo: vm_id -> {guest_page -> (host_page,
+        # Translation memo, read by the batched kernel's loop and by
+        # _rw_shared_translate: space -> {guest_page -> (host_page,
         # page_type)}. The memory manager fires the hook whenever any
         # existing translation or page type changes (COW, content sharing,
         # RW-shared marking, page frees), so a memo hit is always current.
-        # Inner dicts are pre-built and cleared *in place* so the hot loop
-        # can hold direct per-vCPU references to them across invalidations.
+        # Inner dicts are pre-built and cleared *in place* so the batched
+        # loop can hold direct per-vCPU references to them across
+        # invalidations.
         # The hook closes over the memo, not the engine (no cycle).
         self._xlate_memo: dict = {}
         for vm in system.vms:
@@ -214,187 +216,80 @@ class SimulationEngine:
     ) -> List[int]:
         """Advance every vCPU by ``budget`` accesses; returns final clocks.
 
-        The loop body is the simulator's innermost hot path: the per-access
-        step is inlined here, and the dominant case — a guest load that
-        hits the L1 — completes without entering any helper. The statistic
-        updates keep exactly the order the out-of-line helpers would
-        produce, which is what makes the optimisation invisible to every
-        counter.
+        The executable spec the batched kernel is checked against: always
+        step the vCPU with the smallest local clock (ties broken by push
+        order), firing any due metrics sample and migration window first.
         """
-        heap: List[Tuple[int, int, int]] = []
-        remaining = []
-        for index, local_time in enumerate(clocks):
-            heapq.heappush(heap, (local_time, index, index))
-            remaining.append(budget)
+        heap: List[Tuple[int, int, int]] = [
+            (local_time, index, index) for index, local_time in enumerate(clocks)
+        ]
+        heapq.heapify(heap)
+        remaining = [budget] * len(clocks)
         final = list(clocks)
-        vcpus = self._vcpus
-        sequence = len(vcpus)
+        sequence = len(clocks)
         think = self.config.think_cycles
-        heappush = heapq.heappush
-        heappop = heapq.heappop
         migrate = migrate and self._next_migration is not None
-        next_migration = self._next_migration if migrate else 0
-        # Metrics boundary: inf unless a recorder is active this phase.
-        metrics = self._metrics
-        next_sample = self._next_sample
-        # Folded deadline: the soonest coherence-visible boundary (metrics
-        # sample or migration window). The hot loop compares each popped
-        # clock against this single value; the two-way split below only
-        # runs when a boundary is actually due, so the common access pays
-        # one comparison instead of two.
-        boundary = next_sample
-        if migrate and next_migration < boundary:
-            boundary = next_migration
-        workloads = self._workloads
-        caches = self._caches
-        mem_translate = self._mem_translate
-        guest_initiator = Initiator.GUEST
-        hyp_initiator = Initiator.HYPERVISOR
-        ro_shared = PageType.RO_SHARED
-        write_to_page = self._write_to_page
-        page_shift = self._page_shift
-        rw_shared_translate = self._rw_shared_translate
-        # Registry record dict, for the inlined write_hit check below.
-        reg_blocks = self.system.registry._blocks
-        # Per-heap-index hoists: a vCPU's VM, stream index and memo never
-        # change (only its core does), so resolve them once per phase. The
-        # stepper closures keep all generator state in cells — the loop
-        # calls them with no attribute traffic and no MemoryAccess object.
-        steppers = self._steppers
-        vm_ids = [v.vm_id for v in vcpus]
-        vm_memos = [self._xlate_memo[v.vm_id] for v in vcpus]
-        # Core placements change only on migration; refreshed below when
-        # one fires.
-        cores = [v.core for v in vcpus]
-        # self.stats is only swapped between phases, never during one.
-        stats = self.stats
-        l1_by_page_type = stats.l1_accesses_by_page_type
-        clock = self.clock
         while heap:
-            local_time, _, index = heappop(heap)
-            clock.now = local_time
-            if local_time >= boundary:
-                # Same check order as the pre-fold loop: sample first,
-                # then migration, each against its own deadline.
-                if local_time >= next_sample:
-                    next_sample = metrics.sample(local_time)
-                if migrate and local_time >= next_migration:
-                    self._maybe_migrate()
-                    next_migration = self._next_migration
-                    cores = [v.core for v in vcpus]
-                boundary = next_sample
-                if migrate and next_migration < boundary:
-                    boundary = next_migration
-            initiator, guest_page, block_index, is_write = steppers[index]()
-            vm_id = vm_ids[index]
-            if initiator is guest_initiator:
-                vm_tag = vm_id
-                vm_memo = vm_memos[index]
-                entry = vm_memo.get(guest_page)
-                if entry is None:
-                    # write_to_page equals translate() for non-RO pages and
-                    # transparently COWs RO pages (firing the memo-clear
-                    # hook); either way the result is the live translation.
-                    if is_write:
-                        entry = write_to_page(vm_id, guest_page)
-                    else:
-                        entry = mem_translate(vm_id, guest_page)
-                    vm_memo[guest_page] = entry
-                    host_page, page_type = entry
-                else:
-                    host_page, page_type = entry
-                    if is_write and page_type is ro_shared:
-                        # Store to a content-shared page: COW breaks the
-                        # sharing and the hook clears the (now stale) memo.
-                        host_page, page_type = write_to_page(vm_id, guest_page)
-            else:
-                vm_tag = UNTRACKED_VM
-                host_page, page_type = rw_shared_translate(
-                    HYPERVISOR_SPACE if initiator is hyp_initiator else DOM0_VM_ID,
-                    guest_page,
-                )
-            block = (host_page << page_shift) | block_index
-            core = cores[index]
-
-            l1_by_page_type[page_type] += 1
-
-            hierarchy = caches[core]
-            # Inlined PrivateHierarchy.access (see that method for the
-            # canonical, readable version — behaviour here is identical,
-            # including counter and LRU update order). The silent-write
-            # check additionally inlines TokenRegistry.write_hit.
-            l1_set = hierarchy._l1_sets[block & hierarchy._l1_mask]
-            l1_line = l1_set.get(block)
-            if l1_line is not None:
-                del l1_set[block]
-                l1_set[block] = l1_line
-                hierarchy.l1_hits += 1
-                latency = hierarchy.l1_latency
-                if is_write:
-                    l1_line.dirty = True
-                    hierarchy._l2_sets[block & hierarchy._l2_mask][block].dirty = True
-                    state = reg_blocks.get(block)
-                    if (
-                        state is not None
-                        and state.owner == core
-                        and len(state.sharers) == 1
-                        and core in state.sharers
-                    ):
-                        state.dirty = True
-                    else:
-                        latency += self._transact(
-                            core, vm_id, block, True, page_type, initiator,
-                            vm_tag, hierarchy, True,
-                        )
-            else:
-                l2_set = hierarchy._l2_sets[block & hierarchy._l2_mask]
-                l2_line = l2_set.get(block)
-                if l2_line is not None:
-                    del l2_set[block]
-                    l2_set[block] = l2_line
-                    hierarchy.l2_hits += 1
-                    if is_write:
-                        l2_line.dirty = True
-                    # Promote into the L1 (inclusion; L1 has no observer).
-                    if len(l1_set) >= hierarchy._l1_ways:
-                        del l1_set[next(iter(l1_set))]
-                    l1_set[block] = CacheLine(block, vm_tag, is_write)
-                    latency = hierarchy.l1_latency + hierarchy.l2_latency
-                    if is_write:
-                        state = reg_blocks.get(block)
-                        if (
-                            state is not None
-                            and state.owner == core
-                            and len(state.sharers) == 1
-                            and core in state.sharers
-                        ):
-                            state.dirty = True
-                        else:
-                            latency += self._transact(
-                                core, vm_id, block, True, page_type, initiator,
-                                vm_tag, hierarchy, True,
-                            )
-                else:
-                    hierarchy.misses += 1
-                    latency = hierarchy.l1_latency + hierarchy.l2_latency
-                    latency += self._transact(
-                        core, vm_id, block, is_write, page_type, initiator,
-                        vm_tag, hierarchy, False,
-                    )
-
+            local_time, _, index = heapq.heappop(heap)
+            self.clock.now = local_time
+            if local_time >= self._next_sample:
+                self._next_sample = self._metrics.sample(local_time)
+            if migrate and local_time >= self._next_migration:
+                self._maybe_migrate()
+            next_time = local_time + think + self._step(index)
             remaining[index] -= 1
-            next_time = local_time + think + latency
             if remaining[index] > 0:
                 sequence += 1
-                heappush(heap, (next_time, sequence, index))
+                heapq.heappush(heap, (next_time, sequence, index))
             else:
                 final[index] = next_time
-        # Every loop iteration is exactly one L1 access, so the total is
-        # known up front; adding it once replaces a per-access counter
-        # bump (the per-page-type breakdown above still runs per access).
-        stats.l1_accesses += budget * len(vcpus)
-        self._next_sample = next_sample
+        # Every step is exactly one L1 access, so the phase total is known
+        # up front (the per-page-type breakdown is counted in _step).
+        self.stats.l1_accesses += budget * len(clocks)
         return final
+
+    def _step(self, index: int) -> int:
+        """One access of vCPU ``index``; returns its latency in cycles.
+
+        Generate, translate (COW applies to guest stores), look up the
+        local L1/L2, and run a coherence transaction under the filter's
+        plan on a miss or on a store without exclusive tokens.
+        """
+        vcpu = self._vcpus[index]
+        vm_id = vcpu.vm_id
+        initiator, guest_page, block_index, is_write = self._steppers[index]()
+        if initiator is Initiator.GUEST:
+            vm_tag = vm_id
+            if is_write:
+                host_page, page_type = self._write_to_page(vm_id, guest_page)
+            else:
+                host_page, page_type = self._mem_translate(vm_id, guest_page)
+        else:
+            # Hypervisor and dom0 accesses touch RW-shared pages and are
+            # not attributed to any VM's residence counters.
+            vm_tag = UNTRACKED_VM
+            space = (
+                HYPERVISOR_SPACE if initiator is Initiator.HYPERVISOR else DOM0_VM_ID
+            )
+            host_page, page_type = self._rw_shared_translate(space, guest_page)
+        block = (host_page << self._page_shift) | block_index
+        core = vcpu.core
+        self.stats.l1_accesses_by_page_type[page_type] += 1
+
+        hierarchy = self._caches[core]
+        result = hierarchy.access(block, vm_tag, is_write)
+        latency = result.latency
+        if not result.hit:
+            latency += self._transact(
+                core, vm_id, block, is_write, page_type, initiator, vm_tag,
+                hierarchy, False,
+            )
+        elif is_write and not self.system.registry.write_hit(core, block):
+            latency += self._transact(
+                core, vm_id, block, True, page_type, initiator, vm_tag,
+                hierarchy, True,
+            )
+        return latency
 
     def _maybe_migrate(self) -> None:
         now = self.clock.now
@@ -458,8 +353,9 @@ class SimulationEngine:
     ) -> int:
         """Run the coherence transaction for one access; returns its latency.
 
-        Called from the `_run_phase` fast path for the minority of accesses
-        that miss the private hierarchy or store without exclusive tokens.
+        Called from :meth:`_step` (and the batched kernel's loop) for the
+        minority of accesses that miss the private hierarchy or store
+        without exclusive tokens.
         Split into a pure *plan* step (the memoised snoop-filter lookup,
         which mutates nothing) and :meth:`_apply_transact` (everything
         with side effects), so callers that must inspect a plan before

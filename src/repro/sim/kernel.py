@@ -13,9 +13,8 @@ Two generation paths, chosen per vCPU at phase start:
 
 ``chunk``  (workloads advertising ``stream_chunk_independent``)
     Single-vCPU ``VmWorkload``s, pattern workloads and trace replays
-    materialise runs of accesses in bulk — natively via
-    ``stream_chunk`` or through :func:`stream_chunk_shim` for workloads
-    that only expose ``next_access``. The refill size is clamped once, up front, to the
+    materialise runs of accesses in bulk through their ``stream_chunk``.
+    The refill size is clamped once, up front, to the
     vCPU's remaining phase budget (so positions land exactly where the
     reference loop leaves them) and to the next coherence-visible
     deadline (migration window / metrics sample), so chunk bookkeeping
@@ -23,7 +22,7 @@ Two generation paths, chosen per vCPU at phase start:
 
 ``step``   (everything else)
     The reference engine's own per-access stepper closures: still
-    batched control flow, same micro-optimised loop body, just
+    batched control flow and the same call-free loop body, just
     per-access generation. Multi-vCPU ``VmWorkload``s take this path:
     their vCPUs share one RNG and the shared/content/hypervisor
     cursors, so only the engine's access-by-access interleaving
@@ -58,7 +57,6 @@ the phase budget carried inside the heap tuples, and
 from __future__ import annotations
 
 import os
-from functools import partial
 from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Tuple
 
@@ -87,56 +85,18 @@ _CHUNK_ACCESSES = 256
 def engine_for(system: SimulatedSystem) -> SimulationEngine:
     """The engine selected by ``config.kernel`` (and ``REPRO_KERNEL``).
 
-    ``reference``/``batched`` are explicit and always honoured — forcing
-    ``batched`` with the sanitizer or tracer attached is supported (the
-    bail-out seams feed them the identical event stream) and is how the
-    differential CI jobs prove it. ``auto`` resolves via the
-    ``REPRO_KERNEL`` environment override if set, otherwise picks the
-    batched kernel except when an observer (sanitizer/tracer) is
-    attached — the conservative default keeps opt-in diagnostics on the
-    reference loop they were written against.
+    ``reference``/``batched`` are explicit and always honoured. ``auto``
+    resolves via the ``REPRO_KERNEL`` environment override if set,
+    otherwise to the batched kernel — with or without the sanitizer or
+    tracer attached: the bail-out seams feed them the identical event
+    stream, and the bulk-miss seam is gated off under them.
     """
     kind = getattr(system.config, "kernel", "auto")
     if kind == "auto":
-        kind = os.environ.get(_KERNEL_ENV) or "auto"
+        kind = os.environ.get(_KERNEL_ENV)
     if kind == "reference":
         return SimulationEngine(system)
-    if kind == "batched":
-        return BatchedEngine(system)
-    if system.sanitizer is not None or system.tracer is not None:
-        return SimulationEngine(system)
     return BatchedEngine(system)
-
-
-def stream_chunk_shim(workload, vcpu_index: int, count: int) -> List[tuple]:
-    """``stream_chunk`` for workloads that only expose ``next_access``.
-
-    Materialises one access at a time through the workload's own
-    ``next_access``, so arbitrary (possibly cross-vCPU-coupled)
-    generators stay exact — there is no lookahead to reorder their
-    internal draws beyond the ``count`` the caller batches. ``count`` is
-    the caller's responsibility: the kernel clamps it to the vCPU's
-    remaining phase budget (and the next chunk deadline) once up front,
-    so the loop here carries no per-access budget or exception
-    bookkeeping beyond one ``try`` frame for a trace running dry.
-    """
-    out: List[tuple] = []
-    append = out.append
-    next_access = workload.next_access
-    try:
-        for _ in range(count):
-            access = next_access(vcpu_index)
-            append(
-                (
-                    access.initiator,
-                    access.guest_page,
-                    access.block_index,
-                    access.is_write,
-                )
-            )
-    except StopIteration:
-        pass
-    return out
 
 
 # Exists only because bench/spans.py wraps it as a trace seam; deleted
@@ -182,9 +142,6 @@ class BatchedEngine(SimulationEngine):
             (local_time, index, index, budget)
             for index, local_time in enumerate(clocks)
         ]
-        # list-of-tuples heapify orders identically to the reference
-        # loop's repeated heappush (same comparison key, same final pop
-        # sequence; entries are unique so layout differences are moot).
         heapify(heap)
         final = list(clocks)
         vcpus = self._vcpus
@@ -233,10 +190,9 @@ class BatchedEngine(SimulationEngine):
         l12_latency = l1_latency + any_hierarchy.l2_latency
 
         # --- generation-path selection (per vCPU) --------------------
-        # Chunk path: workloads that materialise runs exactly — natively
-        # via stream_chunk, or through the shim when the workload only
-        # exposes next_access but declares interleaving independence.
-        # Every other vCPU steps through its reference stepper closure.
+        # Chunk path: workloads that declare interleaving independence
+        # materialise runs exactly through stream_chunk. Every other vCPU
+        # steps through its reference stepper closure.
         chunk_fns = []
         chunk_buffers = []
         chunk_positions = []
@@ -246,9 +202,7 @@ class BatchedEngine(SimulationEngine):
             if workload is not None and getattr(
                 workload, "stream_chunk_independent", False
             ):
-                fn = getattr(workload, "stream_chunk", None)
-                if fn is None:
-                    fn = partial(stream_chunk_shim, workload)
+                fn = workload.stream_chunk
             chunk_fns.append(fn)
             chunk_buffers.append([] if fn is not None else None)
             chunk_positions.append(0)

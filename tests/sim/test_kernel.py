@@ -21,7 +21,7 @@ from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.sim import kernel
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.kernel import BatchedEngine, engine_for, stream_chunk_shim
+from repro.sim.kernel import BatchedEngine, engine_for
 from repro.sim.mtstream import WordStream
 from repro.sim.system import build_system
 from repro.workloads.generator import VmWorkload
@@ -187,14 +187,19 @@ class TestEngineSelection:
         )
         assert type(engine_for(system)) is BatchedEngine
 
-    def test_auto_defers_to_observers(self, monkeypatch):
+    def test_auto_picks_batched_under_observers(self, monkeypatch, tmp_path):
         # An explicit REPRO_KERNEL (as the CI differential lanes set)
         # legitimately overrides auto; neutralise it to test the default.
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        system = build_system(
-            replace(BASE, kernel="auto", sanitize=True), PROFILES["fft"]
-        )
-        assert type(engine_for(system)) is SimulationEngine
+        for observer in (
+            {"sanitize": True},
+            {"trace": str(tmp_path / "run.evt")},
+        ):
+            system = build_system(
+                replace(BASE, kernel="auto", **observer), PROFILES["fft"]
+            )
+            assert system.sanitizer is not None or system.tracer is not None
+            assert type(engine_for(system)) is BatchedEngine, observer
 
     def test_auto_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "reference")
@@ -266,26 +271,6 @@ class TestTraceReplay:
         assert outputs["batched"] == outputs["reference"]
         if not loop:
             assert outputs["batched"][1] is not None  # exhaustion surfaced
-
-
-class TestChunkShim:
-    def test_shim_matches_next_access(self):
-        profile = PROFILES["fft"]
-        shimmed = VmWorkload(profile, vm_id=1, num_vcpus=2)
-        control = VmWorkload(profile, vm_id=1, num_vcpus=2)
-        chunk = stream_chunk_shim(shimmed, 0, 50)
-        expected = []
-        for _ in range(50):
-            access = control.next_access(0)
-            expected.append(
-                (
-                    access.initiator,
-                    access.guest_page,
-                    access.block_index,
-                    access.is_write,
-                )
-            )
-        assert chunk == expected
 
 
 @settings(max_examples=8, deadline=None)

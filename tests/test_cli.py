@@ -68,7 +68,10 @@ class TestCommands:
 
         assert len(load_trace(out_file)) == 100  # 25 x 4 vCPUs
 
-    def test_profile_smoke(self, capsys):
+    def test_profile_smoke(self, capsys, monkeypatch):
+        # auto must resolve to the batched kernel, whose bulk-miss seam
+        # the report reads from the profiled run's own engine.
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         code = main([
             "profile", "--app", "fft", "--accesses", "300",
             "--warmup", "100", "--top", "3",
@@ -76,6 +79,10 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "us/access" in out
+        assert "bulk-miss seam:" in out
+        # One profiled simulation: no extra kernel-comparison runs.
+        assert "vs reference" not in out
+        assert "kernel comparison" not in out
 
     def test_profile_zero_accesses_prints_na(self, capsys):
         code = main([
