@@ -425,19 +425,16 @@ class SimulationEngine:
 
     def _rw_shared_translate(self, space: int, page: int) -> Tuple[int, PageType]:
         """Memoised hypervisor/dom0 translation (forced RW-shared)."""
-        memo = self._xlate_memo.get(space)
-        if memo is None:
-            memo = self._xlate_memo[space] = {}
+        memo = self._xlate_memo[space]
         entry = memo.get(page)
         if entry is not None:
             return entry
         memory = self._memory
         host_page, page_type = memory.translate(space, page)
         if page_type is not PageType.RW_SHARED:
-            # First touch: marking fires the memo-clear hook, so re-fetch
-            # the (possibly replaced) per-space memo before storing.
+            # First touch: marking fires the memo-clear hook, which
+            # empties this memo in place, so store the entry after it.
             memory.mark_rw_shared(space, page)
-            memo = self._xlate_memo.setdefault(space, {})
         entry = (host_page, PageType.RW_SHARED)
         memo[page] = entry
         return entry

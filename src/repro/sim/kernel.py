@@ -33,12 +33,12 @@ COW, a migration window, a metrics sample — *bails out* to the same
 reference machinery (``self._transact``, ``self._maybe_migrate``,
 ``metrics.sample``), so the sanitizer, the tracer and every observer see
 an unchanged event stream. One exception, and only when no observer is
-attached: the *bulk-miss seam* applies a same-VM private miss inline
-when its first transient attempt provably succeeds against current
-registry state and its replacement victim is clean and VM-local — the
-seam replays the reference path's counter updates and state mutations
-in their exact order, and everything else (shared/content pages,
-contended blocks, dirty or cross-VM victims, retry ladders) still bails
+attached: the *bulk-miss seam* applies a miss inline when its first
+transient attempt provably succeeds against current registry state,
+whatever its replacement victim (dirty, another VM's, or an untracked
+hypervisor/dom0 line) — the seam replays the reference path's counter
+updates and state mutations in their exact order, and everything else
+(RO-shared content reads, contended blocks, retry ladders) still bails
 to ``_transact``. A per-reason bail-out histogram
 (``BatchedEngine.bail_reasons``) records why misses stayed on the
 reference path; it lives on the engine, never on ``SimStats``, which
@@ -216,18 +216,19 @@ class BatchedEngine(SimulationEngine):
             min_step = 1
 
         # --- bulk-miss seam (DESIGN §6) ------------------------------
-        # Applies an eligible same-VM private miss inline instead of
-        # descending through _transact -> execute -> _try_* -> fill. A
-        # miss is eligible only when its entire outcome is decided by
-        # the first transient attempt and its replacement victim is
-        # clean and VM-local; the seam then performs the reference
-        # path's counter updates and state mutations in their exact
-        # order (it calls the same network/memory/registry-eviction
-        # primitives, so window rollovers and traffic charges land
-        # identically). Anything else returns -1 and the caller falls
-        # back to the reference _transact. Gated off whenever an
-        # observer (sanitizer, tracer, outcome observer) is attached:
-        # those are wired through the seams the bulk path skips.
+        # Applies an eligible miss inline instead of descending through
+        # _transact -> execute -> _try_* -> fill -> handle_eviction. A
+        # miss is eligible when it is not an RO-shared read and its
+        # entire outcome is decided by the first transient attempt; any
+        # victim (dirty, another VM's, untracked) is retired inline. The
+        # seam then performs the reference path's counter updates and
+        # state mutations in their exact order (it calls the same
+        # window, hop and residence-hook primitives, so window rollovers,
+        # traffic charges and removals land identically). Anything else
+        # returns -1 and the caller falls back to the reference
+        # _transact. Gated off whenever an observer (sanitizer, tracer,
+        # outcome observer) is attached: those are wired through the
+        # seams the bulk path skips.
         bulk = None
         bail = self.bail_reasons
         if (
@@ -260,16 +261,14 @@ class BatchedEngine(SimulationEngine):
             mem_node = memory.node
             mem_latency = memory.latency
             plan_fn = self._plan
-            vm_private = PageType.VM_PRIVATE
             memory_holder = MEMORY
             block_state = BlockState
             cache_line = CacheLine
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             l2_observers = [h._l2_observer for h in hierarchies]
-            # Residence trackers inline too (the victim is VM-local and
-            # tracked by eligibility); any other observer shape falls
-            # back to the generic on_evict/on_insert calls.
+            # Residence trackers inline too; any other observer shape
+            # falls back to the generic on_evict/on_insert calls.
             res_counts = []
             res_on_low = []
             res_thresholds = []
@@ -300,24 +299,11 @@ class BatchedEngine(SimulationEngine):
                 cycle,
             ):
                 # ---- eligibility (pure: no counters, no mutation) ----
-                # Check order is cheapest-first: the victim peek is two
-                # dict ops while the plan/registry checks cost a call
-                # each, and dirty victims dominate the bail mix on
-                # write-heavy cells.
-                if page_type is not vm_private:
+                # RO-shared reads keep their provider and Table VI
+                # bookkeeping on the reference path.
+                if page_type is ro_shared:
                     bail["page-type"] = bail.get("page-type", 0) + 1
                     return -1
-                victim = None
-                if len(l2_set) >= l2_ways:
-                    victim = next(iter(l2_set.values()))
-                    if victim.dirty:
-                        bail["victim-dirty"] = bail.get("victim-dirty", 0) + 1
-                        return -1
-                    if victim.vm_id != vm_id:
-                        bail["victim-cross-vm"] = (
-                            bail.get("victim-cross-vm", 0) + 1
-                        )
-                        return -1
                 plan = plan_fn(core, vm_id, page_type, block)
                 destinations = plan.attempts[0]
                 state = reg_blocks.get(block)
@@ -443,30 +429,33 @@ class BatchedEngine(SimulationEngine):
                 # exactly for GETM, where is_write is True already) ----
                 counts = res_counts[core]
                 observer = l2_observers[core]
-                if victim is not None:
+                victim = None
+                if len(l2_set) >= l2_ways:
+                    victim = l2_set.pop(next(iter(l2_set)))
                     victim_block = victim.block
-                    del l2_set[victim_block]
-                    if counts is not None:
-                        # Inlined ResidenceTracker.on_evict: the victim
-                        # is VM-local and tracked by eligibility.
-                        current = counts.get(vm_id, 0) - 1
+                    victim_vm = victim.vm_id
+                    if counts is None:
+                        if observer is not None:
+                            observer.on_evict(victim)
+                    elif victim_vm != untracked:
+                        # Inlined ResidenceTracker.on_evict.
+                        current = counts.get(victim_vm, 0) - 1
                         if current < 0:
                             # Canonical underflow diagnostics.
                             res_trackers[core].on_evict(victim)
                         elif current == 0:
-                            del counts[vm_id]
+                            del counts[victim_vm]
                         else:
-                            counts[vm_id] = current
+                            counts[victim_vm] = current
                         if current <= res_thresholds[core]:
                             on_low = res_on_low[core]
                             if on_low is not None:
-                                on_low(core, vm_id, current)
-                    elif observer is not None:
-                        observer.on_evict(victim)
+                                on_low(core, victim_vm, current)
                 line = cache_line(block, vm_tag, is_write)
                 l2_set[block] = line
                 if counts is not None:
-                    counts[vm_id] = counts.get(vm_id, 0) + 1
+                    if vm_tag != untracked:
+                        counts[vm_tag] = counts.get(vm_tag, 0) + 1
                 elif observer is not None:
                     observer.on_insert(line)
                 if victim is not None:

@@ -1,10 +1,11 @@
 """Differential and unit tests for the bulk-miss seam (DESIGN §6).
 
-The seam applies eligible same-VM private misses inline in the batched
-kernel instead of descending through ``_transact``. Everything here
-pins its hard edges: migration windows and metrics samples landing in
-the middle of a bulk run, dirty/shared victims forcing mid-run
-bail-outs, mid-phase deadlines on the per-access step path and
+The seam applies eligible misses inline in the batched kernel instead
+of descending through ``_transact``. Everything here pins its hard
+edges: migration windows and metrics samples landing in the middle of a
+bulk run, dirty, cross-VM and untracked victims retired inline,
+RW-shared hypervisor/dom0 misses, residence-counter removals fired from
+inside the seam, mid-phase deadlines on the per-access step path and
 deadline-clamped chunk refills, sanitized runs disabling the seam
 entirely, and the bail-out histogram that records why misses stayed on
 the reference path. All differential
@@ -13,6 +14,8 @@ contract is exactness, not approximation.
 """
 
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,10 +29,11 @@ from repro.sim.config import SimConfig
 from repro.sim.kernel import BatchedEngine, engine_for
 from repro.sim.system import build_system
 from repro.workloads.profiles import PROFILES
+from repro.workloads.trace import Initiator
 
 # Small caches + a read-heavy zipfian suite: most accesses miss and most
-# misses are seam-eligible (clean VM-local victims), so every downstream
-# assertion exercises the inline path heavily.
+# misses are seam-eligible, so every downstream assertion exercises the
+# inline path heavily.
 MISS_HEAVY = SimConfig(
     l1_size=4 * 1024,
     l2_size=16 * 1024,
@@ -39,7 +43,7 @@ MISS_HEAVY = SimConfig(
 )
 
 # The write-heavy counterpart: the backup service's ~95% store mix keeps
-# L2 victims dirty, so misses continually bail out mid-run.
+# L2 victims dirty, so most inline misses carry a writeback.
 WRITE_HEAVY = replace(MISS_HEAVY, suite="backup-window")
 
 
@@ -142,6 +146,106 @@ class TestBulkDifferential:
         )
 
 
+def run_probed(config: SimConfig, app: str = "fft"):
+    """Run ``config`` recording what the seam's commits are visible through.
+
+    Returns ``(system, engine, low_events, reference_by_initiator)``:
+    every residence ``on_low`` call as ``(core, victim_vm, count,
+    requester_vm)`` (``requester_vm`` is ``None`` unless the call came
+    from inside the bulk seam), and the transactions that took the
+    reference ``_transact`` path, per initiator.
+    """
+    system = build_system(config, PROFILES[app])
+    low_events = []
+    for tracker in system.snoop_filter.trackers.values():
+        hook = tracker.on_low
+        if hook is None:
+            continue
+
+        def recorded(core, vm_id, count, hook=hook):
+            caller = sys._getframe(1)
+            requester = (
+                caller.f_locals["vm_id"]
+                if caller.f_code.co_name == "bulk"
+                else None
+            )
+            low_events.append((core, vm_id, count, requester))
+            hook(core, vm_id, count)
+
+        tracker.on_low = recorded
+    engine = engine_for(system)
+    reference_by_initiator = Counter()
+    transact = engine._transact
+
+    def counted(core, vm_id, block, is_write, page_type, initiator, *rest):
+        reference_by_initiator[initiator] += 1
+        return transact(
+            core, vm_id, block, is_write, page_type, initiator, *rest
+        )
+
+    engine._transact = counted
+    engine.run()
+    return system, engine, low_events, reference_by_initiator
+
+
+def assert_identical_residence(config: SimConfig):
+    """Byte-identical stats, residence counters and ``on_low`` calls.
+
+    Compares the two kernels and returns the batched run's
+    ``run_probed`` tuple.
+    """
+    runs, observed = {}, {}
+    for kernel in ("reference", "batched"):
+        run = runs[kernel] = run_probed(replace(config, kernel=kernel))
+        system, _, low_events, _ = run
+        observed[kernel] = (
+            json.dumps(system.stats.to_dict(), sort_keys=True),
+            {
+                core: tracker.counts()
+                for core, tracker in system.snoop_filter.trackers.items()
+            },
+            [event[:3] for event in low_events],
+        )
+    assert observed["batched"] == observed["reference"]
+    return runs["batched"]
+
+
+class TestInlineHardCases:
+    def test_rw_shared_untracked_lines_commit_inline(self):
+        system, engine, _, by_initiator = assert_identical_residence(
+            replace(
+                WRITE_HEAVY,
+                hypervisor_activity_enabled=True,
+                content_sharing_enabled=True,
+            )
+        )
+        assert engine.bulk_transacts > 0
+        # Hypervisor and dom0 misses insert UNTRACKED_VM lines on
+        # RW-shared pages; some of them never reached _transact.
+        for initiator in (Initiator.HYPERVISOR, Initiator.DOM0):
+            total = system.stats.transactions_by_initiator[initiator]
+            assert total > by_initiator[initiator]
+        assert system.stats.coherence.transactions_by_page_type[
+            PageType.RW_SHARED
+        ] > 0
+
+    def test_cross_vm_victims_fire_on_low_inside_seam(self):
+        system, _, low_events, _ = assert_identical_residence(
+            SimConfig.migration_study(
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+                migration_period_ms=0.1,
+                accesses_per_vcpu=20_000,
+            )
+        )
+        assert system.stats.removal_periods_cycles
+        # The seam retired another VM's victim and dropped that VM's
+        # counter to its watermark on this core.
+        assert any(
+            requester is not None and victim_vm != requester
+            for _, victim_vm, _, requester in low_events
+        )
+
+
 class TestSanitizedBulk:
     def test_sanitizer_disables_seam_and_stays_clean(self):
         config = replace(MISS_HEAVY, sanitize=True, accesses_per_vcpu=2000)
@@ -171,10 +275,16 @@ class TestBailHistogram:
         # the seam-visible private misses commit inline.
         assert bulk / (bulk + bailed) >= 0.5
 
-    def test_write_heavy_records_dirty_victims(self):
-        _, engine = run_system(replace(WRITE_HEAVY, kernel="batched"))
+    def test_write_heavy_dirty_victims_commit_inline(self):
+        system, engine = run_system(replace(WRITE_HEAVY, kernel="batched"))
         summary = engine.bulk_summary()
-        assert summary["bailouts"].get("victim-dirty", 0) > 0
+        assert "victim-dirty" not in summary["bailouts"]
+        assert "victim-cross-vm" not in summary["bailouts"]
+        bulk = summary["bulk_transacts"]
+        bailed = sum(summary["bailouts"].values())
+        assert bulk / (bulk + bailed) >= 0.5
+        batched = json.dumps(system.stats.to_dict(), sort_keys=True)
+        assert batched == run_stats(replace(WRITE_HEAVY, kernel="reference"))
 
     def test_summary_is_sorted_and_detached(self):
         _, engine = run_system(replace(MISS_HEAVY, kernel="batched"))
