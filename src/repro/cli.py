@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=42)
         cmd.add_argument("--kernel", default="auto",
                          choices=("auto", "batched", "reference"),
-                         help="execution kernel: the chunked fast-path "
+                         help="execution kernel: the call-free fast-path "
                          "kernel (batched), the canonical per-access loop "
                          "(reference, the readable spec), or auto (batched, "
                          "unless REPRO_KERNEL names a kernel). Bit-identical "

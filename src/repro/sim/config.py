@@ -110,7 +110,7 @@ class SimConfig:
     trace_format: str = "auto"
     metrics_sample_every: Optional[int] = None
     # Execution kernel. "reference" is the engine's plain per-access
-    # loop, the executable spec; "batched" is the chunked fast-path
+    # loop, the executable spec; "batched" is the call-free fast-path
     # kernel (repro.sim.kernel), proven bit-identical to it by the golden
     # corpus and the differential suites; "auto" is batched (observers
     # attached or not) unless the REPRO_KERNEL environment override names

@@ -106,21 +106,13 @@ class SimulationEngine:
         self._xlate_memo.setdefault(HYPERVISOR_SPACE, {})
         self._memory.translation_change_hook = _memo_clearer(self._xlate_memo)
         # Per-vCPU generation closures, built once: a vCPU's VM and
-        # stream index never change (only its core does), so neither the
-        # steppers nor the trace-replay adapters depend on phase state.
-        # Previously the adapter closures were rebuilt inside every
-        # _run_phase call; hoisting them here means both engines (and
+        # stream index never change (only its core does), so the
+        # steppers do not depend on phase state and both engines (and
         # both phases) share the identical closure per vCPU.
-        self._steppers = []
-        for vcpu in self._vcpus:
-            workload = self._workloads[vcpu.vm_id]
-            stepper_for = getattr(workload, "stepper_for", None)
-            if stepper_for is not None:
-                self._steppers.append(stepper_for(vcpu.index))
-            else:
-                # Trace-replay (or other) workloads expose only the
-                # MemoryAccess API; adapt it to the stepper signature.
-                self._steppers.append(_step_adapter(workload, vcpu.index))
+        self._steppers = [
+            self._workloads[vcpu.vm_id].stepper_for(vcpu.index)
+            for vcpu in self._vcpus
+        ]
 
     # ------------------------------------------------------------------
     # Main loop.
@@ -476,22 +468,6 @@ def _memo_clearer(xlate_memo: dict):
             memo.clear()
 
     return clear
-
-
-def _step_adapter(workload, index: int):
-    """Adapt a ``next_access``-only workload to the stepper signature."""
-    next_access = workload.next_access
-
-    def step():
-        access = next_access(index)
-        return (
-            access.initiator,
-            access.guest_page,
-            access.block_index,
-            access.is_write,
-        )
-
-    return step
 
 
 def run_simulation(system: SimulatedSystem) -> "SimulatedSystem":

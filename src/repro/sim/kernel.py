@@ -9,24 +9,11 @@ bit-identical to the reference loop *by construction*, and the golden
 corpus, the snapshot differential suite and the kernel differential
 tests prove it byte-for-byte.
 
-Two generation paths, chosen per vCPU at phase start:
-
-``chunk``  (workloads advertising ``stream_chunk_independent``)
-    Single-vCPU ``VmWorkload``s, pattern workloads and trace replays
-    materialise runs of accesses in bulk through their ``stream_chunk``.
-    The refill size is clamped once, up front, to the
-    vCPU's remaining phase budget (so positions land exactly where the
-    reference loop leaves them) and to the next coherence-visible
-    deadline (migration window / metrics sample), so chunk bookkeeping
-    and boundary bookkeeping fold into a single per-refill computation.
-
-``step``   (everything else)
-    The reference engine's own per-access stepper closures: still
-    batched control flow and the same call-free loop body, just
-    per-access generation. Multi-vCPU ``VmWorkload``s take this path:
-    their vCPUs share one RNG and the shared/content/hypervisor
-    cursors, so only the engine's access-by-access interleaving
-    reproduces their draw order.
+One generation path: every vCPU draws its next access through the
+reference engine's own per-access stepper closure
+(``SimulationEngine._steppers``), so both engines consume each
+workload's RNG draws in the identical, engine-interleaved order. The
+loop around it is still batched control flow with a call-free body.
 
 Every coherence-visible event — a miss, a non-silent store, an eviction,
 COW, a migration window, a metrics sample — *bails out* to the same
@@ -77,9 +64,6 @@ _KERNEL_ENV = "REPRO_KERNEL"
 # When set, every batched phase ends with a structural validation of
 # all caches through the packed mirror (SetAssociativeCache.packed).
 _VALIDATE_ENV = "REPRO_KERNEL_VALIDATE"
-
-# Accesses per stream_chunk refill on the chunk path.
-_CHUNK_ACCESSES = 256
 
 
 def engine_for(system: SimulatedSystem) -> SimulationEngine:
@@ -148,8 +132,7 @@ class BatchedEngine(SimulationEngine):
         sequence = len(vcpus)
         think = self.config.think_cycles
         migrate = migrate and self._next_migration is not None
-        infinity = float("inf")
-        next_migration = self._next_migration if migrate else infinity
+        next_migration = self._next_migration if migrate else float("inf")
         metrics = self._metrics
         next_sample = self._next_sample
         # One boundary compare per access covers both the metrics window
@@ -167,7 +150,6 @@ class BatchedEngine(SimulationEngine):
         page_shift = self._page_shift
         rw_shared_translate = self._rw_shared_translate
         reg_blocks = self.system.registry._blocks
-        workloads = self._workloads
         steppers = self._steppers
         vm_ids = [v.vm_id for v in vcpus]
         vm_memos = [self._xlate_memo[v.vm_id] for v in vcpus]
@@ -188,32 +170,6 @@ class BatchedEngine(SimulationEngine):
         l1_ways = any_hierarchy._l1_ways
         l1_latency = any_hierarchy.l1_latency
         l12_latency = l1_latency + any_hierarchy.l2_latency
-
-        # --- generation-path selection (per vCPU) --------------------
-        # Chunk path: workloads that declare interleaving independence
-        # materialise runs exactly through stream_chunk. Every other vCPU
-        # steps through its reference stepper closure.
-        chunk_fns = []
-        chunk_buffers = []
-        chunk_positions = []
-        for v in vcpus:
-            workload = workloads.get(v.vm_id)
-            fn = None
-            if workload is not None and getattr(
-                workload, "stream_chunk_independent", False
-            ):
-                fn = workload.stream_chunk
-            chunk_fns.append(fn)
-            chunk_buffers.append([] if fn is not None else None)
-            chunk_positions.append(0)
-        vcpu_indices = [v.index for v in vcpus]
-        # Minimum spacing between two accesses of one vCPU: an access
-        # retires no faster than an L1 hit. Bounds how many accesses a
-        # chunk refill can need before the next migration/metrics
-        # deadline re-enters the boundary branch.
-        min_step = think + l1_latency
-        if min_step < 1:
-            min_step = 1
 
         # --- bulk-miss seam (DESIGN §6) ------------------------------
         # Applies an eligible miss inline instead of descending through
@@ -534,37 +490,7 @@ class BatchedEngine(SimulationEngine):
                     else next_migration
                 )
             # ---- generation ------------------------------------------
-            buffer = chunk_buffers[index]
-            if buffer is not None:
-                position = chunk_positions[index]
-                if position >= len(buffer):
-                    # Clamp once, up front: to the remaining phase
-                    # budget (so the workload's positions end the phase
-                    # exactly where the reference loop leaves them) and
-                    # to the next migration/metrics deadline — this vCPU
-                    # cannot consume more than `cap` accesses before the
-                    # boundary branch re-runs, so a longer refill is
-                    # pure lookahead. The n<1 floor covers the budget-0
-                    # edge where the reference still generates one
-                    # access.
-                    n = _CHUNK_ACCESSES if count > _CHUNK_ACCESSES else count
-                    if boundary < infinity:
-                        cap = (boundary - local_time) // min_step + 1
-                        if cap < n:
-                            n = int(cap)
-                    if n < 1:
-                        n = 1
-                    buffer = chunk_fns[index](vcpu_indices[index], n)
-                    if not buffer:
-                        raise StopIteration(
-                            f"vCPU {vcpu_indices[index]} trace exhausted"
-                        )
-                    chunk_buffers[index] = buffer
-                    position = 0
-                initiator, guest_page, block_index, is_write = buffer[position]
-                chunk_positions[index] = position + 1
-            else:
-                initiator, guest_page, block_index, is_write = steppers[index]()
+            initiator, guest_page, block_index, is_write = steppers[index]()
             # ---- translation (reference order, call-free memo) -------
             vm_id = vm_ids[index]
             if initiator is guest_initiator:
@@ -619,20 +545,15 @@ class BatchedEngine(SimulationEngine):
                 if is_write:
                     l1_line.dirty = True
                     l2_sets_by_core[core][block & l2_mask][block].dirty = True
-                    if block in reg_blocks:
-                        state = reg_blocks[block]
-                        if state.owner == core and state.sharers == {core}:
-                            state.dirty = True
-                        else:
-                            if bulk is not None:
-                                bail["store-upgrade"] = (
-                                    bail.get("store-upgrade", 0) + 1
-                                )
-                            clock.now = local_time
-                            latency += transact(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, hierarchies[core], True,
-                            )
+                    # A silent store needs this core to be the block's
+                    # sole owner; anything else upgrades via _transact.
+                    state = reg_blocks[block] if block in reg_blocks else None
+                    if (
+                        state is not None
+                        and state.owner == core
+                        and state.sharers == {core}
+                    ):
+                        state.dirty = True
                     else:
                         if bulk is not None:
                             bail["store-upgrade"] = (
@@ -658,23 +579,15 @@ class BatchedEngine(SimulationEngine):
                     l1_set[block] = CacheLine(block, vm_tag, is_write)
                     latency = l12_latency
                     if is_write:
-                        if block in reg_blocks:
-                            state = reg_blocks[block]
-                            if (
-                                state.owner == core
-                                and state.sharers == {core}
-                            ):
-                                state.dirty = True
-                            else:
-                                if bulk is not None:
-                                    bail["store-upgrade"] = (
-                                        bail.get("store-upgrade", 0) + 1
-                                    )
-                                clock.now = local_time
-                                latency += transact(
-                                    core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, hierarchy, True,
-                                )
+                        state = (
+                            reg_blocks[block] if block in reg_blocks else None
+                        )
+                        if (
+                            state is not None
+                            and state.owner == core
+                            and state.sharers == {core}
+                        ):
+                            state.dirty = True
                         else:
                             if bulk is not None:
                                 bail["store-upgrade"] = (

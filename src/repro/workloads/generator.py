@@ -435,31 +435,9 @@ class VmWorkload:
 
         return step
 
-    @property
-    def stream_chunk_independent(self) -> bool:
-        """Whether :meth:`stream_chunk` is exact under the engine's
-        interleaving. The VM's vCPUs share one RNG (and the shared /
-        content / hyp / dom0 cursors), so materialising one vCPU's run
-        ahead of time reorders draws against its siblings — chunking is
-        only interleaving-exact when the VM has a single vCPU. The
-        batched kernel steps multi-vCPU VMs one access at a time through
-        :meth:`make_stepper` instead, which is the engine's exact draw
-        interleaving."""
-        return self.num_vcpus == 1
-
-    def stream_chunk(self, vcpu_index: int, count: int) -> List[tuple]:
-        """Materialise ``count`` accesses of one vCPU in bulk.
-
-        Returns a list of ``(initiator, guest_page, block_index,
-        is_write)`` tuples — the next ``count`` results of the vCPU's
-        stepper, consuming the VM RNG as if this vCPU ran alone. See
-        :attr:`stream_chunk_independent` for when that equals the
-        per-access interleaved sequence.
-        """
-        step = self._steppers.get(vcpu_index)
-        if step is None:
-            step = self._steppers[vcpu_index] = self.make_stepper(vcpu_index)
-        return [step() for _ in range(count)]
+    # Exists only because bench/spans.py wraps it as a trace seam.
+    def stream_chunk(self, vcpu_index: int, count: int):
+        raise RuntimeError("chunk path removed")
 
     def snapshot_state(self) -> dict:
         """Mutable generator state as plain data (RNG word state plus the

@@ -10,15 +10,12 @@ unchanged; only the *within-pool* locality is delegated to
 :mod:`~repro.workloads.patterns` samplers, selected per pool by a
 :class:`~repro.workloads.service.ServiceProfile`.
 
-Determinism and chunking (DESIGN.md §10): every vCPU owns its RNG
-(seeded ``{seed}/pattern/{service}/{vm_id}/{vcpu}``) and its own
-sampler instances, sharing *no* mutable state with its siblings — so
-materialising one vCPU's accesses ahead of time cannot reorder another
-vCPU's draws, and :attr:`stream_chunk_independent` is True for any vCPU
-count. That puts every pattern on the batched kernel's chunk path
-natively (``VmWorkload`` only qualifies single-vCPU; its multi-vCPU VMs
-take the per-access step path). Per access, in fixed order: one category draw, one
-write draw, then the pool sampler's draws.
+Determinism (DESIGN.md §10): every vCPU owns its RNG (seeded
+``{seed}/pattern/{service}/{vm_id}/{vcpu}``) and its own sampler
+instances, sharing *no* mutable state with its siblings — so one
+vCPU's stream does not depend on how the engine interleaves it with
+the others. Per access, in fixed order: one category draw, one write
+draw, then the pool sampler's draws.
 
 The flip side of per-vCPU independence: a VM's vCPUs walk the shared
 and content pools *independently* (same addresses, separate sampler
@@ -75,11 +72,6 @@ def _scaled_pages(pages: int, scale: float, ceiling: int) -> int:
 
 class PatternWorkload:
     """Deterministic pattern-driven access streams for one VM."""
-
-    # Per-vCPU RNGs and samplers share nothing across vCPUs, so bulk
-    # materialisation is exact under any engine interleaving — the
-    # batched kernel keys its chunk path on this flag.
-    stream_chunk_independent = True
 
     # Interface parity with VmWorkload (content friend tie-breaking);
     # pattern VMs have no streaming phase offset.
@@ -203,8 +195,8 @@ class PatternWorkload:
     def make_stepper(self, vcpu_index: int):
         """The vCPU's zero-argument ``(initiator, page, block, is_write)``
         closure. Draw order per access — category draw, write draw,
-        sampler draws — is part of the deterministic contract
-        (:meth:`stream_chunk` and the reference loop both consume it)."""
+        sampler draws — is part of the deterministic contract (both
+        engines consume it through this closure)."""
         rng_random = self._rngs[vcpu_index].random
         cumulative = self._cumulative
         top = len(cumulative) - 1
@@ -228,11 +220,9 @@ class PatternWorkload:
 
         return step
 
-    def stream_chunk(self, vcpu_index: int, count: int) -> List[tuple]:
-        """``count`` accesses of one vCPU in bulk — exactly ``count``
-        stepper calls, exact under any interleaving (per-vCPU state)."""
-        step = self.stepper_for(vcpu_index)
-        return [step() for _ in range(count)]
+    # Exists only because bench/spans.py wraps it as a trace seam.
+    def stream_chunk(self, vcpu_index: int, count: int):
+        raise RuntimeError("chunk path removed")
 
     def next_access(self, vcpu_index: int) -> MemoryAccess:
         initiator, page, block, is_write = self.stepper_for(vcpu_index)()

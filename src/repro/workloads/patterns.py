@@ -27,9 +27,9 @@ bursty         1 ``random``, plus 1 ``randrange`` on a jump
 dynamicmix     exactly its current child's draws
 =============  =================================================
 
-— so a pattern-driven workload that gives each vCPU its own RNG is
-exact under any engine interleaving (the batched kernel's chunk-path
-requirement). Samplers expose ``snapshot_state``/``restore_state`` as
+— so a pattern-driven workload that gives each vCPU its own RNG draws
+the same per-vCPU stream under any engine interleaving, and both
+engines consume it through the same stepper closure. Samplers expose ``snapshot_state``/``restore_state`` as
 plain data for the warm-state snapshot layer.
 
 Spec grammar (the CLI/config surface)::

@@ -128,6 +128,7 @@ class TraceReplayWorkload:
         }
         self._positions = [0] * num_vcpus
         self._content_pages = list(content_page_labels)
+        self._steppers: dict = {}
         for access in accesses:
             if access.vm_id != vm_id:
                 continue
@@ -140,59 +141,45 @@ class TraceReplayWorkload:
         if all(not stream for stream in self._streams.values()):
             raise ValueError(f"trace contains no accesses for VM {vm_id}")
 
-    # Per-vCPU streams are fully independent (separate lists, separate
-    # positions, no RNG), so materialising one vCPU's run in bulk is
-    # exact under any engine interleaving — the batched kernel keys its
-    # chunked generation path on this flag.
-    stream_chunk_independent = True
+    def stepper_for(self, vcpu_index: int):
+        """The vCPU's cached zero-argument ``(initiator, guest_page,
+        block_index, is_write)`` closure over its recorded list and
+        position: wraps at the end when looping, else raises
+        ``StopIteration``."""
+        step = self._steppers.get(vcpu_index)
+        if step is None:
+            step = self._steppers[vcpu_index] = self._make_stepper(vcpu_index)
+        return step
+
+    def _make_stepper(self, vcpu_index: int):
+        stream = self._streams[vcpu_index]
+        # Shared with snapshot_state/restore_state, which edit it in place.
+        positions = self._positions
+        loop = self.loop
+
+        def step():
+            if not stream:
+                raise StopIteration(f"vCPU {vcpu_index} has no trace accesses")
+            position = positions[vcpu_index]
+            if position >= len(stream):
+                if not loop:
+                    raise StopIteration(f"vCPU {vcpu_index} trace exhausted")
+                position = 0
+            positions[vcpu_index] = position + 1
+            access = stream[position]
+            return (
+                access.initiator,
+                access.guest_page,
+                access.block_index,
+                access.is_write,
+            )
+
+        return step
 
     def next_access(self, vcpu_index: int) -> MemoryAccess:
-        stream = self._streams[vcpu_index]
-        if not stream:
-            raise StopIteration(f"vCPU {vcpu_index} has no trace accesses")
-        position = self._positions[vcpu_index]
-        if position >= len(stream):
-            if not self.loop:
-                raise StopIteration(f"vCPU {vcpu_index} trace exhausted")
-            position = 0
-        self._positions[vcpu_index] = position + 1
-        return stream[position]
-
-    def stream_chunk(
-        self, vcpu_index: int, count: int
-    ) -> List[Tuple[Initiator, int, int, bool]]:
-        """Up to ``count`` accesses of one vCPU as ``(initiator,
-        guest_page, block_index, is_write)`` tuples.
-
-        Pure position arithmetic over the vCPU's recorded list — exactly
-        ``count`` repeated :meth:`next_access` calls, including wrap
-        semantics. A non-looping stream returns a short (possibly empty)
-        list at exhaustion; the caller decides when that becomes the
-        ``StopIteration`` the per-access API would raise.
-        """
-        stream = self._streams[vcpu_index]
-        if not stream:
-            raise StopIteration(f"vCPU {vcpu_index} has no trace accesses")
-        out: List[Tuple[Initiator, int, int, bool]] = []
-        position = self._positions[vcpu_index]
-        length = len(stream)
-        for _ in range(count):
-            if position >= length:
-                if not self.loop:
-                    break
-                position = 0
-            access = stream[position]
-            position += 1
-            out.append(
-                (
-                    access.initiator,
-                    access.guest_page,
-                    access.block_index,
-                    access.is_write,
-                )
-            )
-        self._positions[vcpu_index] = position
-        return out
+        return MemoryAccess(
+            self.vm_id, vcpu_index, *self.stepper_for(vcpu_index)()
+        )
 
     def stream(self, vcpu_index: int, count: int) -> Iterator[MemoryAccess]:
         for _ in range(count):

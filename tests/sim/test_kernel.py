@@ -3,11 +3,11 @@
 Every test here asserts the same thing at a different seam: a batched
 run's ``SimStats.to_dict()`` is *equal* — not statistically close — to
 the reference engine's on the identical configuration. The boundary
-cases target exactly the places a chunked kernel can silently diverge:
-migration windows and metrics samples landing inside a chunk, COW
-writes and shared-line evictions bailing out mid-chunk, migration
-windows landing mid-phase on the per-access step path, chunk size 1 via
-a single-access budget, and trace-replay exhaustion mid-phase.
+cases target exactly the places a batched loop can silently diverge:
+migration windows and metrics samples landing mid-phase, COW writes and
+shared-line evictions bailing out to the reference machinery, a
+single-access budget, and trace-replay wrap and exhaustion mid-phase
+through the trace workload's stepper.
 """
 
 import json
@@ -71,7 +71,7 @@ class TestDifferential:
             )
         )
 
-    def test_migration_windows_inside_chunks(self):
+    def test_migration_windows_mid_phase(self):
         assert_identical(
             replace(
                 BASE,
@@ -80,7 +80,7 @@ class TestDifferential:
             )
         )
 
-    def test_metrics_samples_inside_chunks(self):
+    def test_metrics_samples_mid_phase(self):
         assert_identical(
             replace(BASE, metrics_sample_every=5000, migration_period_ms=0.2)
         )
@@ -96,8 +96,8 @@ class TestDifferential:
         )
 
     def test_shared_line_evictions_under_pressure(self):
-        # Caches small enough that shared lines are continually evicted
-        # at chunk edges, exercising the eviction/writeback bail-out.
+        # Caches small enough that shared lines are continually evicted,
+        # exercising the eviction/writeback bail-out.
         assert_identical(
             replace(
                 BASE,
@@ -133,7 +133,7 @@ class TestDifferential:
         )
 
     def test_single_access_budget(self):
-        # Chunk size clamps to 1: the smallest possible batched phase.
+        # The smallest possible batched phase: one access per vCPU.
         assert_identical(
             replace(BASE, accesses_per_vcpu=1, warmup_accesses_per_vcpu=1)
         )
@@ -157,19 +157,20 @@ class TestRefillEdges:
 
 class TestPathSelection:
     def test_multi_vcpu_vms_step_and_word_stubs_are_inert(self):
-        # BASE runs 2 VMs x 2 vCPUs: no workload is chunk-eligible, so
-        # every vCPU takes the step path. The retired word-path names
-        # survive only as raising stubs, so a batched run that completes
-        # and matches reference never touched them.
-        system = build_system(BASE, PROFILES["fft"])
-        assert not any(
-            w.stream_chunk_independent for w in system.workloads.values()
-        )
+        # Every vCPU steps through its workload's stepper closure. The
+        # retired word- and chunk-path names survive only as raising
+        # stubs, so a batched run that completes and matches reference
+        # never touched them.
         assert_identical(BASE)
         with pytest.raises(RuntimeError):
             kernel._encode(None, None)
         with pytest.raises(RuntimeError):
             WordStream().raw(1)
+        for config in (BASE, replace(BASE, pattern="zipfian")):
+            system = build_system(config, PROFILES["fft"])
+            for workload in system.workloads.values():
+                with pytest.raises(RuntimeError):
+                    workload.stream_chunk(0, 1)
 
 
 class TestEngineSelection:
@@ -255,7 +256,7 @@ class TestTraceReplay:
         return system
 
     @pytest.mark.parametrize("loop", [True, False])
-    def test_chunk_path_matches_reference(self, loop):
+    def test_trace_replay_matches_reference(self, loop):
         outputs = {}
         for kernel in ("reference", "batched"):
             system = self._trace_system(kernel, loop)

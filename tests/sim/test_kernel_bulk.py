@@ -5,12 +5,12 @@ of descending through ``_transact``. Everything here pins its hard
 edges: migration windows and metrics samples landing in the middle of a
 bulk run, dirty, cross-VM and untracked victims retired inline,
 RW-shared hypervisor/dom0 misses, residence-counter removals fired from
-inside the seam, mid-phase deadlines on the per-access step path and
-deadline-clamped chunk refills, sanitized runs disabling the seam
-entirely, and the bail-out histogram that records why misses stayed on
-the reference path. All differential
-assertions are byte-equality of ``SimStats.to_dict()`` — the seam's
-contract is exactness, not approximation.
+inside the seam, mid-phase deadlines for calibrated and suite
+workloads alike, sanitized runs disabling the seam entirely, and the
+bail-out histogram that records why misses stayed on the reference
+path. All differential assertions are byte-equality of
+``SimStats.to_dict()`` — the seam's contract is exactness, not
+approximation.
 """
 
 import json
@@ -71,7 +71,7 @@ class TestBulkDifferential:
 
     def test_migration_window_mid_bulk_run(self):
         # Tiny migration periods land windows inside runs of inline
-        # misses; the boundary fold must stop the chunk exactly there.
+        # misses; the boundary branch must fire exactly there.
         assert_identical(
             replace(
                 MISS_HEAVY,
@@ -131,10 +131,10 @@ class TestBulkDifferential:
             )
         )
 
-    def test_deadline_clamped_chunk_refills(self, monkeypatch):
-        # Same deadlines on the chunk path (pattern workloads refill via
-        # stream_chunk): the refill size must clamp to the next
-        # coherence-visible deadline up front.
+    def test_suite_deadlines_mid_phase(self, monkeypatch):
+        # Same deadlines for a pattern suite, whose per-vCPU steppers
+        # share no state: migration and metrics deadlines land between
+        # its accesses exactly where the reference loop puts them.
         monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
         assert_identical(
             replace(

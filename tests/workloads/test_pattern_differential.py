@@ -84,18 +84,6 @@ class TestPatternKernelDifferential:
             replace(BASE, pattern="bursty(mean_burst=4.0)", vcpus_per_vm=1)
         )
 
-    def test_chunk_boundary_budget(self):
-        # Budgets around the kernel's 256-access chunk refill.
-        for budget in (255, 256, 257):
-            assert_identical(
-                replace(
-                    BASE,
-                    pattern="hotspot",
-                    accesses_per_vcpu=budget,
-                    warmup_accesses_per_vcpu=64,
-                )
-            )
-
 
 class TestSuiteKernelDifferential:
     @pytest.mark.parametrize("suite", SUITE_NAMES)

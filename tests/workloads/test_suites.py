@@ -255,23 +255,14 @@ class TestPatternWorkload:
             c.next_access(0) for _ in range(200)
         ]
 
-    def test_stream_chunk_equals_next_access(self):
-        live = PatternWorkload(get_service("datalake"), 1, 2, seed=4)
-        chunked = PatternWorkload(get_service("datalake"), 1, 2, seed=4)
-        singles = [live.next_access(0) for _ in range(100)]
-        bulk = chunked.stream_chunk(0, 100)
-        assert [
-            (a.initiator, a.guest_page, a.block_index, a.is_write)
-            for a in singles
-        ] == bulk
-
     def test_vcpus_share_no_state(self):
-        # Draining vCPU 0 must not perturb vCPU 1's stream — the
-        # property stream_chunk_independent declares.
+        # Draining vCPU 0 must not perturb vCPU 1's stream: each vCPU
+        # owns its RNG and samplers (the pattern determinism contract).
         alone = PatternWorkload(get_service("web"), 1, 2, seed=8)
         interleaved = PatternWorkload(get_service("web"), 1, 2, seed=8)
         expected = [alone.next_access(1) for _ in range(100)]
-        interleaved.stream_chunk(0, 5_000)
+        for _ in range(5_000):
+            interleaved.next_access(0)
         assert [interleaved.next_access(1) for _ in range(100)] == expected
 
 

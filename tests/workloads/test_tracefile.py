@@ -85,8 +85,22 @@ class TestReplay:
     def test_replay_no_loop_exhausts(self):
         replay = TraceReplayWorkload(1, sample_accesses(), num_vcpus=2, loop=False)
         replay.next_access(1)
-        with pytest.raises(StopIteration):
+        with pytest.raises(StopIteration, match="vCPU 1 trace exhausted"):
             replay.next_access(1)
+
+    def test_replay_snapshot_restores_stepper_position(self):
+        replay = TraceReplayWorkload(1, sample_accesses(), num_vcpus=2)
+        step = replay.stepper_for(0)
+        saved = replay.snapshot_state()
+        first = step()
+        replay.restore_state(saved)
+        assert step() == first
+        assert replay.snapshot_state() == {"kind": "trace", "positions": [1, 0]}
+
+    def test_replay_stepper_on_empty_vcpu_raises(self):
+        replay = TraceReplayWorkload(1, sample_accesses(), num_vcpus=3)
+        with pytest.raises(StopIteration, match="vCPU 2 has no trace accesses"):
+            replay.stepper_for(2)()
 
     def test_filters_other_vms(self):
         accesses = sample_accesses() + [
