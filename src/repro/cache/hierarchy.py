@@ -138,15 +138,6 @@ class PrivateHierarchy:
         self.l1.insert(block, vm_id, dirty=dirty)
         return victim
 
-    def fill_victim(self, block: int) -> Optional[CacheLine]:
-        """The L2 line :meth:`fill` of ``block`` would evict, or ``None``.
-
-        Pure prediction (no state change) — the canonical, readable
-        version of the victim peek the batched kernel's bulk-miss seam
-        performs to prove a fill is legal before committing it.
-        """
-        return self.l2.peek_victim(block)
-
     def invalidate(self, block: int) -> Optional[CacheLine]:
         """Invalidate ``block`` in both levels (coherence invalidation)."""
         self.l1.invalidate(block)

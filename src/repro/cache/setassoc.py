@@ -153,19 +153,6 @@ class SetAssociativeCache:
             self.observer.on_insert(line)
         return victim
 
-    def peek_victim(self, block: int) -> Optional[CacheLine]:
-        """The line :meth:`insert` of ``block`` would evict, or ``None``.
-
-        Pure prediction: no LRU touch, no observer events, no state
-        change. The batched kernel's bulk-miss seam uses this to prove a
-        fill's replacement victim is legal (same-VM and clean) before
-        committing to the fast path.
-        """
-        cache_set = self._sets[block & self._set_mask]
-        if block in cache_set or len(cache_set) < self.ways:
-            return None
-        return next(iter(cache_set.values()))
-
     def invalidate(self, block: int) -> Optional[CacheLine]:
         """Remove ``block`` if resident; return the removed line."""
         cache_set = self._set_for(block)

@@ -53,23 +53,6 @@ class RequestPlan:
     def ro_shared(self) -> bool:
         return self.page_type is PageType.RO_SHARED
 
-    @property
-    def first_attempt(self) -> FrozenSet[int]:
-        """Destination set of the first transient attempt.
-
-        The batched kernel's bulk-miss seam admits a miss onto its fast
-        path only when this attempt provably succeeds against current
-        registry state; the later attempts (retries, persistent-request
-        escalation) then never run, so none of their side effects need
-        replicating.
-        """
-        return self.attempts[0]
-
-    @property
-    def single_attempt(self) -> bool:
-        """Whether the plan carries no retry ladder at all."""
-        return len(self.attempts) == 1
-
     @staticmethod
     def broadcast(all_cores: FrozenSet[int], page_type: PageType) -> "RequestPlan":
         """The baseline TokenB plan: one broadcast attempt."""

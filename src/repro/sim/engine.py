@@ -345,38 +345,13 @@ class SimulationEngine:
     ) -> int:
         """Run the coherence transaction for one access; returns its latency.
 
-        Called from :meth:`_step` (and the batched kernel's loop) for the
-        minority of accesses that miss the private hierarchy or store
-        without exclusive tokens.
-        Split into a pure *plan* step (the memoised snoop-filter lookup,
-        which mutates nothing) and :meth:`_apply_transact` (everything
-        with side effects), so callers that must inspect a plan before
-        committing to it — the batched kernel's bulk-miss seam — can run
-        the plan step alone and hand the result back here.
+        Called from :meth:`_step` (and the batched kernel's loop, for
+        the transactions its bulk-miss seam does not commit inline) on a
+        miss of the private hierarchy or a store without exclusive
+        tokens: plan, execute, fill on a miss, observe.
         """
         self.stats.transactions_by_initiator[initiator] += 1
         plan = self._plan(core, vm_id, page_type, block)
-        return self._apply_transact(
-            core, vm_id, block, is_write, plan, vm_tag, hierarchy, hit
-        )
-
-    def _apply_transact(
-        self,
-        core: int,
-        vm_id: int,
-        block: int,
-        is_write: bool,
-        plan,
-        vm_tag: int,
-        hierarchy,
-        hit: bool,
-    ) -> int:
-        """Apply a planned transaction: execute, fill, observe.
-
-        The side-effecting half of :meth:`_transact`; the caller has
-        already bumped ``transactions_by_initiator`` and resolved the
-        plan.
-        """
         outcome = self._execute(
             core, vm_id, block, is_write, plan, cycle=self.clock.now
         )

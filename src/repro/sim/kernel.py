@@ -20,14 +20,16 @@ COW, a migration window, a metrics sample — *bails out* to the same
 reference machinery (``self._transact``, ``self._maybe_migrate``,
 ``metrics.sample``), so the sanitizer, the tracer and every observer see
 an unchanged event stream. One exception, and only when no observer is
-attached: the *bulk-miss seam* applies a miss inline when its first
-transient attempt provably succeeds against current registry state,
-whatever its replacement victim (dirty, another VM's, or an untracked
-hypervisor/dom0 line) — the seam replays the reference path's counter
-updates and state mutations in their exact order, and everything else
-(RO-shared content reads, contended blocks, retry ladders) still bails
-to ``_transact``. A per-reason bail-out histogram
-(``BatchedEngine.bail_reasons``) records why misses stayed on the
+attached: the *bulk-miss seam* commits a transaction inline whenever its
+first transient attempt succeeds against current registry state — a
+private or RW-shared miss, an RO-shared content read (provider scan and
+Table VI bookkeeping included), a contended GETM with its invalidations,
+or an L1/L2-hit store upgrade — whatever its replacement victim (dirty,
+another VM's, or an untracked hypervisor/dom0 line). The seam replays
+the reference path's counter updates and state mutations in their exact
+order; only a failed first attempt (a retry ladder) or an RO-shared
+write still bails to ``_transact``. A per-reason bail-out histogram
+(``BatchedEngine.bail_reasons``) records why transactions stayed on the
 reference path; it lives on the engine, never on ``SimStats``, which
 stays byte-identical across kernels by contract.
 
@@ -48,7 +50,7 @@ from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Tuple
 
 from repro.cache.line import CacheLine
-from repro.coherence.registry import MEMORY, BlockState
+from repro.coherence.registry import GLOBAL_PROVIDER, MEMORY, BlockState
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
 from repro.hypervisor.vm import DOM0_VM_ID
 from repro.interconnect.messages import MessageKind
@@ -172,19 +174,24 @@ class BatchedEngine(SimulationEngine):
         l12_latency = l1_latency + any_hierarchy.l2_latency
 
         # --- bulk-miss seam (DESIGN §6) ------------------------------
-        # Applies an eligible miss inline instead of descending through
-        # _transact -> execute -> _try_* -> fill -> handle_eviction. A
-        # miss is eligible when it is not an RO-shared read and its
-        # entire outcome is decided by the first transient attempt; any
-        # victim (dirty, another VM's, untracked) is retired inline. The
-        # seam then performs the reference path's counter updates and
+        # Commits a transaction inline instead of descending through
+        # _transact -> execute -> _try_* -> fill -> handle_eviction, by
+        # one rule: a transaction commits inline whenever its first
+        # transient attempt succeeds against current registry state.
+        # That covers private and RW-shared misses, RO-shared content
+        # reads (provider scan and Table VI bookkeeping included),
+        # contended GETMs with their invalidations, and store upgrades
+        # (``l2_set is None``: the same GETM commit without the fill).
+        # Any victim (dirty, another VM's, untracked) is retired inline.
+        # The seam performs the reference path's counter updates and
         # state mutations in their exact order (it calls the same
-        # window, hop and residence-hook primitives, so window rollovers,
-        # traffic charges and removals land identically). Anything else
-        # returns -1 and the caller falls back to the reference
-        # _transact. Gated off whenever an observer (sanitizer, tracer,
-        # outcome observer) is attached: those are wired through the
-        # seams the bulk path skips.
+        # window, hop, invalidate and residence-hook primitives, so
+        # window rollovers, traffic charges and removals land
+        # identically). A failed first attempt (a retry ladder) or an
+        # RO-shared write returns -1, and the caller falls back to the
+        # reference _transact. Gated off whenever an observer
+        # (sanitizer, tracer, outcome observer) is attached: those are
+        # wired through the seams the bulk path skips.
         bulk = None
         bail = self.bail_reasons
         if (
@@ -207,6 +214,7 @@ class BatchedEngine(SimulationEngine):
             req_flits = network._flits[MessageKind.REQUEST]
             data_flits = network._flits[MessageKind.DATA]
             rd_flits = req_flits + data_flits
+            ack_flits = network._flits[MessageKind.ACK]
             wb_flits = network._flits[MessageKind.WRITEBACK]
             tr_flits = network._flits[MessageKind.TOKEN_RETURN]
             mc_cache = network._mc_cache
@@ -218,6 +226,7 @@ class BatchedEngine(SimulationEngine):
             mem_latency = memory.latency
             plan_fn = self._plan
             memory_holder = MEMORY
+            global_provider = GLOBAL_PROVIDER
             block_state = BlockState
             cache_line = CacheLine
             as_frozenset = frozenset
@@ -255,40 +264,53 @@ class BatchedEngine(SimulationEngine):
                 cycle,
             ):
                 # ---- eligibility (pure: no counters, no mutation) ----
-                # RO-shared reads keep their provider and Table VI
-                # bookkeeping on the reference path.
-                if page_type is ro_shared:
+                ro_read = page_type is ro_shared
+                if ro_read and is_write:
                     bail["page-type"] = bail.get("page-type", 0) + 1
                     return -1
                 plan = plan_fn(core, vm_id, page_type, block)
                 destinations = plan.attempts[0]
                 state = reg_blocks.get(block)
+                owner = state.owner if state is not None else memory_holder
                 if is_write:
-                    # GETM succeeds on attempt 0 with no invalidations
-                    # only when no core holds any token.
-                    if state is not None and (
-                        state.sharers or state.owner != memory_holder
-                    ):
-                        bail["getm-contended"] = (
-                            bail.get("getm-contended", 0) + 1
+                    # _try_getm's success test: attempt 0 reaches every
+                    # other sharer and any cache owner.
+                    contended = state is not None and (
+                        owner != memory_holder
+                        and owner != core
+                        and owner not in destinations
+                    )
+                    if state is not None and not contended:
+                        for sharer in state.sharers:
+                            if sharer != core and sharer not in destinations:
+                                contended = True
+                                break
+                    if contended:
+                        reason = (
+                            "getm-contended"
+                            if l2_set is not None
+                            else "store-upgrade"
                         )
+                        bail[reason] = bail.get(reason, 0) + 1
                         return -1
-                    owner = memory_holder
-                else:
-                    owner = state.owner if state is not None else memory_holder
-                    if owner != memory_holder and owner not in destinations:
-                        bail["gets-retry"] = bail.get("gets-retry", 0) + 1
-                        return -1
+                elif (
+                    owner != memory_holder
+                    and owner not in destinations
+                    and not ro_read
+                ):
+                    # (RO-shared reads never fail: memory is clean.)
+                    bail["gets-retry"] = bail.get("gets-retry", 0) + 1
+                    return -1
                 # ---- commit: the reference path's effects, in its
-                # exact order (_transact -> execute -> _try_* ->
-                # _apply_transact's fill -> handle_eviction). One window
-                # check covers every network leg charged at this cycle
-                # (the window can roll over at most once per cycle value
-                # — the same fusion _memory_read_latency uses), so the
-                # contention term is one hoisted constant, and the
-                # traffic counters are flushed in one batch at the end
-                # (nothing reads them mid-transaction: the sanitizer is
-                # gated off and metrics sample between accesses).
+                # exact order (_transact -> execute -> _try_* -> fill ->
+                # handle_eviction). One window check covers every
+                # network leg charged at this cycle (the window can roll
+                # over at most once per cycle value — the same fusion
+                # _memory_read_latency uses), so the contention term is
+                # one hoisted constant, and the traffic counters are
+                # flushed in one batch at the end (nothing reads them
+                # mid-transaction: the sanitizer is gated off and
+                # metrics sample between accesses).
                 if cycle - network._window_start >= window_cycles:
                     advance_window(cycle)
                 u = network._last_utilisation
@@ -300,6 +322,27 @@ class BatchedEngine(SimulationEngine):
                     cstats.getm_count += 1
                 else:
                     cstats.gets_count += 1
+                    if ro_read:
+                        # Inlined _record_ro_holders (Table VI).
+                        cstats.ro_misses += 1
+                        sharers = state.sharers if state is not None else ()
+                        if not sharers or (
+                            len(sharers) == 1 and core in sharers
+                        ):
+                            cstats.ro_holder_memory_only += 1
+                        else:
+                            cstats.ro_holder_any_cache += 1
+                            intra = plan.stats_intra_domain
+                            friend = plan.stats_friend_domain
+                            for sharer in sharers:
+                                if sharer != core and sharer in intra:
+                                    cstats.ro_holder_intra_vm += 1
+                                    break
+                            else:
+                                for sharer in sharers:
+                                    if sharer != core and sharer in friend:
+                                        cstats.ro_holder_friend_vm += 1
+                                        break
                 snoops = len(destinations)
                 cstats.snoops += snoops
                 snoops_by_page_type[page_type] += snoops
@@ -318,109 +361,172 @@ class BatchedEngine(SimulationEngine):
                 attempt_latency = (
                     0 if worst_hops == 0 else worst_hops * per_hop + contention
                 )
+                # ---- data: an upgrade needs none, an RO read takes the
+                # fastest reachable provider copy, everything else comes
+                # from memory or the owner's cache ----
+                completion = None
+                victims = ()
                 if is_write:
-                    # grant_exclusive with no prior holders, then memory
-                    # sources the data (_try_getm's success order).
+                    # grant_exclusive (it precedes the data leg in
+                    # _try_getm); invalidations follow the data leg.
                     if state is None:
                         state = reg_blocks[block] = block_state()
+                    sharers = state.sharers
+                    had_copy = core in sharers
+                    if sharers and not (len(sharers) == 1 and had_copy):
+                        victims = sorted(c for c in sharers if c != core)
                     state.sharers = {core}
                     state.owner = core
                     state.dirty = True
                     state.providers.clear()
-                    if core == mem_node:
-                        memory.data_reads += 1
-                        completion = mem_latency
+                    if had_copy:
+                        cstats.upgrades += 1
+                        completion = 0
+                elif ro_read and state is not None:
+                    # _try_ro_gets: every reachable provider responds
+                    # with its own DATA leg (a friend-VM read reached by
+                    # both the own-VM and the friend-VM provider pays
+                    # for both copies); the fastest one serves.
+                    providers = state.providers
+                    for provider_vm in plan.provider_vms:
+                        provider = providers.get(provider_vm)
+                        if (
+                            provider is not None
+                            and provider in destinations
+                            and provider != core
+                        ):
+                            back = hops_tbl[provider][core]
+                            msgs += 1
+                            fh += data_flits * back
+                            leg = (
+                                hops_tbl[core][provider] * per_hop
+                                + contention
+                                + snoop_lookup
+                                + back * per_hop
+                                + contention
+                            )
+                            if completion is None or leg < completion:
+                                completion = leg
+                    if completion is not None:
+                        cstats.cache_to_cache += 1
+                        cstats.ro_served_by_cache += 1
+                if completion is None:
+                    if owner == memory_holder or ro_read:
+                        if core == mem_node:
+                            memory.data_reads += 1
+                            completion = mem_latency
+                        else:
+                            hops = hops_tbl[core][mem_node]
+                            msgs += 2
+                            fh += rd_flits * hops
+                            path = hops * per_hop + contention
+                            memory.data_reads += 1
+                            completion = path + mem_latency + path
+                        cstats.memory_sourced += 1
+                        if ro_read:
+                            cstats.ro_served_by_memory += 1
                     else:
-                        hops = hops_tbl[core][mem_node]
-                        msgs += 2
-                        fh += rd_flits * hops
-                        path = hops * per_hop + contention
-                        memory.data_reads += 1
-                        completion = path + mem_latency + path
-                    cstats.memory_sourced += 1
-                elif owner == MEMORY:
-                    if core == mem_node:
-                        memory.data_reads += 1
-                        completion = mem_latency
-                    else:
-                        hops = hops_tbl[core][mem_node]
-                        msgs += 2
-                        fh += rd_flits * hops
-                        path = hops * per_hop + contention
-                        memory.data_reads += 1
-                        completion = path + mem_latency + path
-                    cstats.memory_sourced += 1
+                        # Cache-to-cache: the owner is inside attempt 0
+                        # (request leg + snoop lookup + DATA leg back).
+                        if core == owner:
+                            completion = snoop_lookup
+                        else:
+                            back = hops_tbl[owner][core]
+                            msgs += 1
+                            fh += data_flits * back
+                            completion = (
+                                hops_tbl[core][owner] * per_hop
+                                + contention
+                                + snoop_lookup
+                                + back * per_hop
+                                + contention
+                            )
+                        cstats.cache_to_cache += 1
+                # ---- registry grant (reads) / invalidations (GETM) ----
+                if ro_read:
+                    # grant_shared(vm_id=...): both setdefaults, in order.
                     if state is None:
                         state = reg_blocks[block] = block_state()
-                        state.sharers = {core}
-                        state.owner = core
-                    elif not state.sharers:
-                        # MOESI E state (grant_exclusive, dirty=False).
-                        state.sharers = {core}
-                        state.owner = core
-                        state.dirty = False
-                        state.providers.clear()
-                    else:
-                        state.sharers.add(core)
-                else:
-                    # Cache-to-cache: the owner is inside attempt 0
-                    # (request leg + snoop lookup + DATA leg back).
-                    if core == owner:
-                        completion = snoop_lookup
-                    else:
-                        hops = hops_tbl[core][owner]
-                        back = hops_tbl[owner][core]
+                    state.sharers.add(core)
+                    providers = state.providers
+                    providers.setdefault(vm_id, core)
+                    providers.setdefault(global_provider, core)
+                elif is_write:
+                    # Sorted invalidations (see _try_getm): each fires
+                    # the victim core's residence on_low, then its ACK.
+                    for victim_core in victims:
+                        victim_hierarchy = caches.get(victim_core)
+                        if victim_hierarchy is not None:
+                            victim_hierarchy.invalidate(block)
+                        cstats.invalidations += 1
+                        back = hops_tbl[victim_core][core]
                         msgs += 1
-                        fh += data_flits * back
-                        completion = (
-                            hops * per_hop
+                        fh += ack_flits * back
+                        leg = (
+                            hops_tbl[core][victim_core] * per_hop
                             + contention
                             + snoop_lookup
                             + back * per_hop
                             + contention
                         )
-                    cstats.cache_to_cache += 1
+                        if leg > completion:
+                            completion = leg
+                elif owner != memory_holder:
                     state.sharers.add(core)
-                # ---- fill (dirty == is_write here: fill_dirty is True
+                elif state is None:
+                    state = reg_blocks[block] = block_state()
+                    state.sharers = {core}
+                    state.owner = core
+                elif not state.sharers:
+                    # MOESI E state (grant_exclusive, dirty=False).
+                    state.sharers = {core}
+                    state.owner = core
+                    state.dirty = False
+                    state.providers.clear()
+                else:
+                    state.sharers.add(core)
+                # ---- fill (a store upgrade's line is resident: no
+                # fill; dirty == is_write here: fill_dirty is True
                 # exactly for GETM, where is_write is True already) ----
-                counts = res_counts[core]
-                observer = l2_observers[core]
                 victim = None
-                if len(l2_set) >= l2_ways:
-                    victim = l2_set.pop(next(iter(l2_set)))
-                    victim_block = victim.block
-                    victim_vm = victim.vm_id
-                    if counts is None:
-                        if observer is not None:
-                            observer.on_evict(victim)
-                    elif victim_vm != untracked:
-                        # Inlined ResidenceTracker.on_evict.
-                        current = counts.get(victim_vm, 0) - 1
-                        if current < 0:
-                            # Canonical underflow diagnostics.
-                            res_trackers[core].on_evict(victim)
-                        elif current == 0:
-                            del counts[victim_vm]
-                        else:
-                            counts[victim_vm] = current
-                        if current <= res_thresholds[core]:
-                            on_low = res_on_low[core]
-                            if on_low is not None:
-                                on_low(core, victim_vm, current)
-                line = cache_line(block, vm_tag, is_write)
-                l2_set[block] = line
-                if counts is not None:
-                    if vm_tag != untracked:
-                        counts[vm_tag] = counts.get(vm_tag, 0) + 1
-                elif observer is not None:
-                    observer.on_insert(line)
-                if victim is not None:
-                    l1_sets_by_core[core][victim_block & l1_mask].pop(
-                        victim_block, None
-                    )
-                if len(l1_set) >= l1_ways:
-                    del l1_set[next(iter(l1_set))]
-                l1_set[block] = cache_line(block, vm_tag, is_write)
+                if l2_set is not None:
+                    counts = res_counts[core]
+                    observer = l2_observers[core]
+                    if len(l2_set) >= l2_ways:
+                        victim = l2_set.pop(next(iter(l2_set)))
+                        victim_block = victim.block
+                        victim_vm = victim.vm_id
+                        if counts is None:
+                            if observer is not None:
+                                observer.on_evict(victim)
+                        elif victim_vm != untracked:
+                            # Inlined ResidenceTracker.on_evict.
+                            current = counts.get(victim_vm, 0) - 1
+                            if current < 0:
+                                # Canonical underflow diagnostics.
+                                res_trackers[core].on_evict(victim)
+                            elif current == 0:
+                                del counts[victim_vm]
+                            else:
+                                counts[victim_vm] = current
+                            if current <= res_thresholds[core]:
+                                on_low = res_on_low[core]
+                                if on_low is not None:
+                                    on_low(core, victim_vm, current)
+                    line = cache_line(block, vm_tag, is_write)
+                    l2_set[block] = line
+                    if counts is not None:
+                        if vm_tag != untracked:
+                            counts[vm_tag] = counts.get(vm_tag, 0) + 1
+                    elif observer is not None:
+                        observer.on_insert(line)
+                    if victim is not None:
+                        l1_sets_by_core[core][victim_block & l1_mask].pop(
+                            victim_block, None
+                        )
+                    if len(l1_set) >= l1_ways:
+                        del l1_set[next(iter(l1_set))]
+                    l1_set[block] = cache_line(block, vm_tag, is_write)
                 if victim is not None:
                     # Inlined registry.evicted + handle_eviction: tokens
                     # (and dirty data) travel back to memory. The send's
@@ -546,7 +652,7 @@ class BatchedEngine(SimulationEngine):
                     l1_line.dirty = True
                     l2_sets_by_core[core][block & l2_mask][block].dirty = True
                     # A silent store needs this core to be the block's
-                    # sole owner; anything else upgrades via _transact.
+                    # sole owner; anything else is a GETM upgrade.
                     state = reg_blocks[block] if block in reg_blocks else None
                     if (
                         state is not None
@@ -555,15 +661,19 @@ class BatchedEngine(SimulationEngine):
                     ):
                         state.dirty = True
                     else:
-                        if bulk is not None:
-                            bail["store-upgrade"] = (
-                                bail.get("store-upgrade", 0) + 1
-                            )
                         clock.now = local_time
-                        latency += transact(
-                            core, vm_id, block, True, page_type,
-                            initiator, vm_tag, hierarchies[core], True,
-                        )
+                        extra = -1
+                        if bulk is not None:
+                            extra = bulk(
+                                core, vm_id, block, True, page_type,
+                                initiator, vm_tag, None, None, local_time,
+                            )
+                        if extra < 0:
+                            extra = transact(
+                                core, vm_id, block, True, page_type,
+                                initiator, vm_tag, hierarchies[core], True,
+                            )
+                        latency += extra
             else:
                 l2_set = l2_sets_by_core[core][block & l2_mask]
                 if block in l2_set:
@@ -589,15 +699,20 @@ class BatchedEngine(SimulationEngine):
                         ):
                             state.dirty = True
                         else:
-                            if bulk is not None:
-                                bail["store-upgrade"] = (
-                                    bail.get("store-upgrade", 0) + 1
-                                )
                             clock.now = local_time
-                            latency += transact(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, hierarchy, True,
-                            )
+                            extra = -1
+                            if bulk is not None:
+                                extra = bulk(
+                                    core, vm_id, block, True, page_type,
+                                    initiator, vm_tag, None, None,
+                                    local_time,
+                                )
+                            if extra < 0:
+                                extra = transact(
+                                    core, vm_id, block, True, page_type,
+                                    initiator, vm_tag, hierarchy, True,
+                                )
+                            latency += extra
                 else:
                     hierarchy = hierarchies[core]
                     hierarchy.misses += 1

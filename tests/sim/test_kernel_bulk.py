@@ -1,15 +1,18 @@
 """Differential and unit tests for the bulk-miss seam (DESIGN §6).
 
-The seam applies eligible misses inline in the batched kernel instead
-of descending through ``_transact``. Everything here pins its hard
-edges: migration windows and metrics samples landing in the middle of a
-bulk run, dirty, cross-VM and untracked victims retired inline,
-RW-shared hypervisor/dom0 misses, residence-counter removals fired from
-inside the seam, mid-phase deadlines for calibrated and suite
+The seam commits a transaction inline in the batched kernel, instead of
+descending through ``_transact``, whenever its first transient attempt
+succeeds. Everything here pins its hard edges: migration windows and
+metrics samples landing in the middle of a bulk run, dirty, cross-VM
+and untracked victims retired inline, RW-shared hypervisor/dom0
+misses, RO-shared content reads under every content policy, contended
+GETMs whose invalidations fire residence-counter removals, L1- and
+L2-hit store upgrades, mid-phase deadlines for calibrated and suite
 workloads alike, sanitized runs disabling the seam entirely, and the
-bail-out histogram that records why misses stayed on the reference
-path. All differential assertions are byte-equality of
-``SimStats.to_dict()`` — the seam's contract is exactness, not
+bail-out histogram that records why transactions stayed on the
+reference path. All differential assertions are byte-equality of
+``SimStats.to_dict()`` (plus, where named, registry records and
+``on_low`` sequences) — the seam's contract is exactness, not
 approximation.
 """
 
@@ -20,10 +23,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cache.hierarchy import PrivateHierarchy
-from repro.cache.setassoc import SetAssociativeCache
-from repro.coherence.plan import RequestPlan
-from repro.core.filter import SnoopPolicy
+from repro.coherence.registry import GLOBAL_PROVIDER
+from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.mem.pagetype import PageType
 from repro.sim.config import SimConfig
 from repro.sim.kernel import BatchedEngine, engine_for
@@ -45,6 +46,17 @@ MISS_HEAVY = SimConfig(
 # The write-heavy counterpart: the backup service's ~95% store mix keeps
 # L2 victims dirty, so most inline misses carry a writeback.
 WRITE_HEAVY = replace(MISS_HEAVY, suite="backup-window")
+
+# The bail reasons the benchmark harness (bench/run.py) accepts; any
+# other name makes it raise.
+BAIL_REASONS = {
+    "gets-retry",
+    "getm-contended",
+    "page-type",
+    "store-upgrade",
+    "victim-cross-vm",
+    "victim-dirty",
+}
 
 
 def run_system(config: SimConfig, app: str = "fft"):
@@ -87,7 +99,7 @@ class TestBulkDifferential:
         # across one).
         assert_identical(replace(MISS_HEAVY, metrics_sample_every=2000))
 
-    def test_dirty_victim_bails_mid_run(self):
+    def test_dirty_victims_commit_inline_mid_run(self):
         assert_identical(WRITE_HEAVY)
 
     def test_dirty_victims_with_migration(self):
@@ -110,7 +122,7 @@ class TestBulkDifferential:
             )
         )
 
-    def test_deadline_clamped_word_refills(self, monkeypatch):
+    def test_multi_vcpu_deadlines_mid_phase(self, monkeypatch):
         # Multi-vCPU VMs step per access while migration and metrics
         # deadlines land mid-phase; packed-mirror validation runs at
         # every phase end.
@@ -149,11 +161,17 @@ class TestBulkDifferential:
 def run_probed(config: SimConfig, app: str = "fft"):
     """Run ``config`` recording what the seam's commits are visible through.
 
-    Returns ``(system, engine, low_events, reference_by_initiator)``:
-    every residence ``on_low`` call as ``(core, victim_vm, count,
-    requester_vm)`` (``requester_vm`` is ``None`` unless the call came
-    from inside the bulk seam), and the transactions that took the
-    reference ``_transact`` path, per initiator.
+    Returns ``(system, engine, low_events, reference_calls)``. Every
+    residence ``on_low`` call is recorded as ``(core, victim_vm, count,
+    seam)``: ``seam`` is ``None`` unless the call came from inside the
+    bulk seam, else ``(via, requester_core, requester_vm)`` with ``via``
+    ``"evict"`` for a retired fill victim or ``"invalidate"`` for a GETM
+    invalidation.
+    ``reference_calls`` counts the transactions that took the reference
+    ``_transact`` path by ``(initiator, page_type, is_write, level)``,
+    where ``level`` is ``"miss"``, or for a store upgrade the level the
+    reference engine's ``PrivateHierarchy.access`` hit (``None`` when
+    the batched kernel, which never calls it, upgraded there).
     """
     system = build_system(config, PROFILES[app])
     low_events = []
@@ -163,36 +181,54 @@ def run_probed(config: SimConfig, app: str = "fft"):
             continue
 
         def recorded(core, vm_id, count, hook=hook):
-            caller = sys._getframe(1)
-            requester = (
-                caller.f_locals["vm_id"]
-                if caller.f_code.co_name == "bulk"
-                else None
-            )
-            low_events.append((core, vm_id, count, requester))
+            callers = []
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "bulk":
+                callers.append(frame.f_code.co_name)
+                frame = frame.f_back
+            seam = None
+            if frame is not None:
+                via = "invalidate" if "on_invalidate" in callers else "evict"
+                seam = (via, frame.f_locals["core"], frame.f_locals["vm_id"])
+            low_events.append((core, vm_id, count, seam))
             hook(core, vm_id, count)
 
         tracker.on_low = recorded
+    last_level = {}
+    for core, hierarchy in system.caches.items():
+
+        def access(block, vm_tag, is_write, core=core, hierarchy=hierarchy):
+            result = type(hierarchy).access(hierarchy, block, vm_tag, is_write)
+            last_level[core] = result.level
+            return result
+
+        hierarchy.access = access
     engine = engine_for(system)
-    reference_by_initiator = Counter()
+    reference_calls = Counter()
     transact = engine._transact
 
-    def counted(core, vm_id, block, is_write, page_type, initiator, *rest):
-        reference_by_initiator[initiator] += 1
+    def counted(core, vm_id, block, is_write, page_type, initiator, vm_tag,
+                hierarchy, hit):
+        level = last_level.get(core) if hit else "miss"
+        reference_calls[initiator, page_type, is_write, level] += 1
         return transact(
-            core, vm_id, block, is_write, page_type, initiator, *rest
+            core, vm_id, block, is_write, page_type, initiator, vm_tag,
+            hierarchy, hit,
         )
 
     engine._transact = counted
     engine.run()
-    return system, engine, low_events, reference_by_initiator
+    return system, engine, low_events, reference_calls
 
 
 def assert_identical_residence(config: SimConfig):
-    """Byte-identical stats, residence counters and ``on_low`` calls.
+    """Byte-identical stats, end state and ``on_low`` call sequence.
 
-    Compares the two kernels and returns the batched run's
-    ``run_probed`` tuple.
+    The end state is what a warm-state snapshot captures (cache sets in
+    LRU order, registry records with their provider order, residence
+    counters), so any order the seam gets wrong shows up here. Compares
+    the two kernels and returns both ``run_probed`` tuples, keyed by
+    kernel.
     """
     runs, observed = {}, {}
     for kernel in ("reference", "batched"):
@@ -200,31 +236,58 @@ def assert_identical_residence(config: SimConfig):
         system, _, low_events, _ = run
         observed[kernel] = (
             json.dumps(system.stats.to_dict(), sort_keys=True),
-            {
-                core: tracker.counts()
-                for core, tracker in system.snoop_filter.trackers.items()
-            },
+            system.snapshot([]),
             [event[:3] for event in low_events],
         )
     assert observed["batched"] == observed["reference"]
-    return runs["batched"]
+    return runs
+
+
+def two_provider_reads(config: SimConfig, app: str = "fft") -> int:
+    """RO-shared reads of a reference run that two providers answer."""
+    system = build_system(replace(config, kernel="reference"), PROFILES[app])
+    protocol = system.protocol
+    try_ro_gets = protocol._try_ro_gets
+    count = 0
+
+    def probed(core, vm_id, block, destinations, plan, cycle):
+        nonlocal count
+        reachable = [
+            provider
+            for provider in (
+                system.registry.provider_for_vm(block, provider_vm)
+                for provider_vm in plan.provider_vms
+            )
+            if provider is not None
+            and provider in destinations
+            and provider != core
+        ]
+        count += len(reachable) > 1
+        return try_ro_gets(core, vm_id, block, destinations, plan, cycle)
+
+    protocol._try_ro_gets = probed
+    engine_for(system).run()
+    return count
 
 
 class TestInlineHardCases:
     def test_rw_shared_untracked_lines_commit_inline(self):
-        system, engine, _, by_initiator = assert_identical_residence(
+        runs = assert_identical_residence(
             replace(
                 WRITE_HEAVY,
                 hypervisor_activity_enabled=True,
                 content_sharing_enabled=True,
             )
         )
+        system, engine, _, reference_calls = runs["batched"]
         assert engine.bulk_transacts > 0
         # Hypervisor and dom0 misses insert UNTRACKED_VM lines on
         # RW-shared pages; some of them never reached _transact.
         for initiator in (Initiator.HYPERVISOR, Initiator.DOM0):
             total = system.stats.transactions_by_initiator[initiator]
-            assert total > by_initiator[initiator]
+            assert total > sum(
+                n for key, n in reference_calls.items() if key[0] is initiator
+            )
         assert system.stats.coherence.transactions_by_page_type[
             PageType.RW_SHARED
         ] > 0
@@ -236,14 +299,96 @@ class TestInlineHardCases:
                 migration_period_ms=0.1,
                 accesses_per_vcpu=20_000,
             )
-        )
+        )["batched"]
         assert system.stats.removal_periods_cycles
         # The seam retired another VM's victim and dropped that VM's
         # counter to its watermark on this core.
         assert any(
-            requester is not None and victim_vm != requester
-            for _, victim_vm, _, requester in low_events
+            seam is not None and seam[0] == "evict" and victim_vm != seam[2]
+            for _, victim_vm, _, seam in low_events
         )
+
+    @pytest.mark.parametrize("policy", list(ContentPolicy), ids=lambda p: p.value)
+    def test_ro_shared_reads_commit_inline(self, policy):
+        config = replace(
+            WRITE_HEAVY,
+            content_sharing_enabled=True,
+            content_policy=policy,
+            accesses_per_vcpu=2000,
+        )
+        runs = assert_identical_residence(config)
+        system, engine, _, reference_calls = runs["batched"]
+        # Every RO-shared read committed inline: provider scan, Table VI
+        # bookkeeping and grant_shared's two setdefaults included.
+        assert "page-type" not in engine.bulk_summary()["bailouts"]
+        assert not any(
+            page_type is PageType.RO_SHARED and not is_write
+            for _, page_type, is_write, _ in reference_calls
+        )
+        cstats = system.stats.coherence
+        assert cstats.ro_misses > 0
+        assert cstats.ro_holder_any_cache > 0
+        assert cstats.ro_served_by_memory > 0
+        providers = {
+            provider_vm
+            for *_, items in system.snapshot([])["registry"]
+            for provider_vm, _ in items
+        }
+        if policy is ContentPolicy.MEMORY_DIRECT:
+            assert cstats.ro_served_by_cache == 0
+        else:
+            assert cstats.ro_served_by_cache > 0
+        if policy is ContentPolicy.BROADCAST:
+            # A broadcast GETS reads the system-wide provider copy.
+            assert GLOBAL_PROVIDER in providers
+        if policy is ContentPolicy.FRIEND_VM:
+            # Both the own-VM and the friend-VM provider respond, and
+            # each DATA leg is charged.
+            assert two_provider_reads(config) > 0
+
+    def test_contended_getm_invalidations_fire_on_low(self):
+        # A watermark above any per-core count makes every invalidation
+        # of a VM's line fire on_low, so the on_low sequence pins the
+        # sorted invalidation order of multi-sharer GETMs.
+        runs = assert_identical_residence(
+            replace(
+                WRITE_HEAVY,
+                migration_period_ms=0.05,
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+                counter_threshold=1024,
+            )
+        )
+        system, engine, low_events, _ = runs["batched"]
+        assert system.stats.coherence.invalidations > 0
+        # A seam GETM invalidated another core's copy and dropped that
+        # core's residence counter to its watermark.
+        assert any(
+            seam is not None and seam[0] == "invalidate" and core != seam[1]
+            for core, _, _, seam in low_events
+        )
+        # The speculative watermark also fails first attempts: those
+        # GETMs (and only those) stay on the reference path.
+        assert engine.bulk_summary()["bailouts"]["getm-contended"] > 0
+
+    def test_store_upgrades_commit_inline(self):
+        runs = assert_identical_residence(
+            replace(
+                WRITE_HEAVY,
+                migration_period_ms=0.05,
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER,
+            )
+        )
+        levels = Counter()
+        for (_, _, _, level), n in runs["reference"][3].items():
+            levels[level] += n
+        # The reference engine upgraded stores that hit in the L1 and
+        # stores that hit in the L2; the batched kernel sent none of
+        # them to _transact.
+        assert levels["l1"] > 0 and levels["l2"] > 0
+        system, engine, _, reference_calls = runs["batched"]
+        assert {key[3] for key in reference_calls} <= {"miss"}
+        assert system.stats.coherence.upgrades > 0
+        assert "store-upgrade" not in engine.bulk_summary()["bailouts"]
 
 
 class TestSanitizedBulk:
@@ -286,6 +431,27 @@ class TestBailHistogram:
         batched = json.dumps(system.stats.to_dict(), sort_keys=True)
         assert batched == run_stats(replace(WRITE_HEAVY, kernel="reference"))
 
+    def test_content_sharing_bails_only_failed_first_attempts(self):
+        system, engine = run_system(
+            replace(
+                WRITE_HEAVY,
+                kernel="batched",
+                content_sharing_enabled=True,
+                hypervisor_activity_enabled=True,
+            )
+        )
+        # RO-shared reads, contended GETMs and store upgrades all ran
+        # (the zero rows below are not vacuous) ...
+        cstats = system.stats.coherence
+        assert cstats.ro_misses > 0
+        assert cstats.invalidations > 0
+        assert cstats.upgrades > 0
+        # ... and every one of them committed inline.
+        bailouts = engine.bulk_summary()["bailouts"]
+        for reason in ("page-type", "getm-contended", "store-upgrade"):
+            assert bailouts.get(reason, 0) == 0
+        assert set(bailouts) <= BAIL_REASONS
+
     def test_summary_is_sorted_and_detached(self):
         _, engine = run_system(replace(MISS_HEAVY, kernel="batched"))
         summary = engine.bulk_summary()
@@ -320,68 +486,3 @@ class TestBailHistogram:
         )
         engine = engine_for(system)
         assert not hasattr(engine, "bulk_summary")
-
-
-class TestVictimPeek:
-    def test_peek_matches_insert(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        # Fill set 0 (blocks 0, 2): next insert into set 0 evicts LRU 0.
-        cache.insert(0, vm_id=1)
-        cache.insert(2, vm_id=1)
-        predicted = cache.peek_victim(4)
-        assert predicted is not None and predicted.block == 0
-        actual = cache.insert(4, vm_id=2)
-        assert actual is predicted
-
-    def test_peek_no_eviction_cases(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        cache.insert(0, vm_id=1)
-        assert cache.peek_victim(2) is None  # set not full
-        cache.insert(2, vm_id=1)
-        assert cache.peek_victim(0) is None  # already resident
-
-    def test_peek_is_pure(self):
-        from repro.cache.setassoc import CacheObserver
-
-        events = []
-
-        class Spy(CacheObserver):
-            def on_evict(self, line):
-                events.append(("evict", line.block))
-
-            def on_insert(self, line):
-                events.append(("insert", line.block))
-
-        cache = SetAssociativeCache(num_sets=1, ways=2, observer=Spy())
-        cache.insert(0, vm_id=1)
-        cache.insert(1, vm_id=1)
-        events.clear()
-        before = list(cache._sets[0])
-        cache.peek_victim(2)
-        # No observer events, no LRU touch, no mutation.
-        assert events == []
-        assert list(cache._sets[0]) == before
-
-    def test_hierarchy_fill_victim_delegates(self):
-        hierarchy = PrivateHierarchy(
-            core_id=0, l1_size=128, l1_ways=1, l2_size=256, l2_ways=1,
-            block_size=64,
-        )
-        hierarchy.fill(0, vm_id=1)
-        predicted = hierarchy.fill_victim(4)
-        assert predicted is not None and predicted.block == 0
-        victim = hierarchy.fill(4, vm_id=1)
-        assert victim is predicted
-
-
-class TestPlanProperties:
-    def test_first_attempt_and_single_attempt(self):
-        single = RequestPlan(attempts=(frozenset({1, 2}),))
-        assert single.first_attempt == frozenset({1, 2})
-        assert single.single_attempt
-        ladder = RequestPlan(
-            attempts=(frozenset({1}), frozenset({1, 2, 3})),
-            page_type=PageType.VM_PRIVATE,
-        )
-        assert ladder.first_attempt == frozenset({1})
-        assert not ladder.single_attempt

@@ -65,7 +65,7 @@ class TestPatternKernelDifferential:
         assert_identical(replace(BASE, pattern=spec))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=_ids)
-    def test_pattern_with_migrations_inside_chunks(self, spec):
+    def test_pattern_with_migrations_mid_phase(self, spec):
         assert_identical(
             replace(BASE, pattern=spec, migration_period_ms=0.2)
         )
