@@ -14,10 +14,10 @@ matrices out over worker processes — results are bit-identical at any
 job count, only wall-clock time changes.
 
 ``experiment --out DIR`` turns a run into a resumable campaign: every
-completed cell is checkpointed to ``DIR`` as JSON, a manifest records
-what ran, and ``--resume`` re-runs only the missing cells (Ctrl-C keeps
-what finished). ``--retries`` and ``--task-timeout`` bound individual
-cell failures and hangs.
+completed cell is saved as a result entry under ``DIR/results/``, a
+manifest records what ran, and ``--resume`` re-runs only the missing
+cells (Ctrl-C keeps what finished). ``--retries`` and
+``--task-timeout`` bound individual cell failures and hangs.
 
 Examples::
 
@@ -200,11 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=sorted(EXPERIMENTS), metavar="name",
                             help=f"one of: {', '.join(sorted(EXPERIMENTS))}")
     experiment.add_argument("--out", default=None, metavar="DIR",
-                            help="campaign directory: checkpoint every "
-                            "completed cell as JSON and write a run manifest")
+                            help="campaign directory: save every completed "
+                            "cell as a result entry under DIR/results/ and "
+                            "write a run manifest")
     experiment.add_argument("--resume", action="store_true",
-                            help="reuse cells already checkpointed in --out "
-                            "and run only the missing ones")
+                            help="reuse the result entries already in --out "
+                            "and run only the missing cells")
     experiment.add_argument("--retries", type=int, default=0, metavar="N",
                             help="re-run a failing cell up to N times before "
                             "recording the failure (default: 0)")
@@ -401,19 +402,15 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         parser.error("--retries must be >= 0")
     if args.task_timeout is not None and args.task_timeout <= 0:
         parser.error("--task-timeout must be positive")
-    if args.out:
-        from pathlib import Path
+    if args.out and not args.resume:
+        from repro.store import ResultStore
 
-        out = Path(args.out)
-        if out.is_dir() and not args.resume:
-            cells = [
-                p for p in out.glob("*.json") if not p.name.startswith("manifest")
-            ]
-            if cells:
-                parser.error(
-                    f"{out} already holds {len(cells)} checkpointed cell(s); "
-                    f"pass --resume to reuse them, or choose a fresh directory"
-                )
+        cells = list(ResultStore(args.out).results_dir.glob("*.json"))
+        if cells:
+            parser.error(
+                f"{args.out} already holds {len(cells)} stored cell(s); "
+                f"pass --resume to reuse them, or choose a fresh directory"
+            )
     # Install campaign defaults only when a flag asked for them, so a
     # plain `experiment` run still honours REPRO_CAMPAIGN_DIR.
     if args.out or args.retries or args.task_timeout is not None:

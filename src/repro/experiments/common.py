@@ -50,8 +50,8 @@ def run_tasks(
     """Run a driver's task matrix; results align index-for-index.
 
     ``label`` names the matrix in campaign manifests and progress lines
-    when a checkpoint directory is active (``repro-sim experiment
-    --out`` or ``REPRO_CAMPAIGN_DIR``); checkpointed cells are skipped
+    when a campaign directory is active (``repro-sim experiment
+    --out`` or ``REPRO_CAMPAIGN_DIR``); its stored cells are skipped
     on resume and a failing cell raises
     :class:`~repro.sim.runner.TaskError` identifying the task.
     """

@@ -31,14 +31,18 @@ optional per-cell retries and a wall-clock timeout, and the whole matrix
 survives Ctrl-C: workers are terminated and the completed cells are
 returned via :class:`CampaignInterrupted`.
 
-With ``checkpoint_dir`` set, every completed cell is persisted as JSON
-keyed by a stable hash of its (config, app) pair, so re-running the same
-matrix skips the already-done cells — and, because the JSON round trip
-through :meth:`SimStats.to_dict` is lossless, a resumed matrix is
-bit-identical to an uninterrupted serial run. A ``manifest-*.json``
-per matrix records what ran: tasks, seeds, job count, git revision,
-per-cell wall-clock and µs/access, and failures. The campaign directory
-defaults to the ``REPRO_CAMPAIGN_DIR`` environment variable, or to the
+With ``checkpoint_dir`` set, the directory is opened as a
+:class:`~repro.store.ResultStore` (the *campaign store*): every
+completed cell becomes an ordinary result entry at
+``DIR/results/<key>.json``, keyed by a stable hash of its (config, app)
+pair, so re-running the same matrix skips the already-done cells. The
+entries carry the same ``STATE_VERSION``, key and identity checks as
+the global store, and because the JSON round trip through
+:meth:`SimStats.to_dict` is lossless, a resumed matrix is bit-identical
+to an uninterrupted serial run. A ``manifest-*.json`` per matrix records
+what ran: tasks, seeds, job count, git revision, per-cell wall-clock and
+µs/access, and failures. The campaign directory defaults to the
+``REPRO_CAMPAIGN_DIR`` environment variable, or to the
 :func:`set_campaign` settings installed by ``repro-sim experiment
 --out/--resume/--retries/--task-timeout``.
 """
@@ -74,7 +78,7 @@ from repro.sim.config import SimConfig
 from repro.sim.stats import SimStats
 from repro.sim.system import SnapshotMismatch, build_system
 from repro.sim.kernel import engine_for
-from repro.store import get_store, snapshots_enabled
+from repro.store import ResultStore, get_store, snapshots_enabled
 from repro.workloads import get_profile
 
 T = TypeVar("T")
@@ -83,7 +87,6 @@ R = TypeVar("R")
 JOBS_ENV_VAR = "REPRO_JOBS"
 CAMPAIGN_ENV_VAR = "REPRO_CAMPAIGN_DIR"
 MANIFEST_FORMAT = 1
-CHECKPOINT_FORMAT = 1
 
 _default_jobs: Optional[int] = None
 
@@ -95,11 +98,13 @@ class SimTask(NamedTuple):
     app: str
 
 
-# Engine diagnostics of the most recent run_simulation_task call in this
-# process — a side channel because SimStats is byte-identical across
-# kernels by contract and cannot carry kernel-specific counters. The
-# executors pop it (consume_diagnostics) right after the task function
-# returns, in the same process that ran the cell.
+# Engine diagnostics of the most recent simulated cell in this process —
+# a side channel because SimStats is byte-identical across kernels by
+# contract and cannot carry kernel-specific counters. Safe under
+# parallel_map: the executors' attempt loop (_attempt_cell) clears it
+# before each attempt and pops it (consume_diagnostics) right after the
+# task function returns, in the same process that ran the cell, so
+# nothing leaks across cells on either path.
 _last_diagnostics: Optional[dict] = None
 
 
@@ -133,13 +138,6 @@ def run_simulation_task(task: SimTask) -> SimStats:
     skips) but still produce them — the architectural state is
     unaffected by the pure-observer sanitizer.
     """
-    # Safe under parallel_map: the side channel is written and consumed
-    # in the same process — _detailed_child pops it before the worker
-    # sends its result over the pipe, and the serial path pops it right
-    # after task_fn returns — and it is reset here at cell entry, so
-    # nothing leaks across cells on either path.
-    global _last_diagnostics
-    _last_diagnostics = None
     store = get_store()
     if store is not None:
         stats = store.load_result(
@@ -147,12 +145,24 @@ def run_simulation_task(task: SimTask) -> SimStats:
         )
         if stats is not None:
             return stats
+    return _simulate_and_save(task)
+
+
+def _simulate_and_save(task: SimTask) -> SimStats:
+    """Simulate one cell and save it to the global store, without a lookup.
+
+    :func:`run_matrix_detailed` runs this directly on cells its own
+    lookup already missed, so a cell is looked up once, not again in
+    the worker.
+    """
+    global _last_diagnostics
     system, engine, clocks = prepare_task(task)
     engine.measure(clocks)
     stats = system.stats
     summary_fn = getattr(engine, "bulk_summary", None)
     if summary_fn is not None:
         _last_diagnostics = summary_fn()
+    store = get_store()
     if store is not None:
         store.save_result(
             task_key(task), task.app, config_to_dict(task.config), stats
@@ -251,7 +261,7 @@ def default_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
-# Campaign settings (checkpoint directory, retries, timeout).
+# Campaign settings (campaign directory, retries, timeout).
 # ----------------------------------------------------------------------
 
 
@@ -346,7 +356,8 @@ class TaskResult(NamedTuple):
     # Engine-side diagnostics that must never live on SimStats (results
     # stay byte-identical across kernels by contract): currently the
     # batched kernel's bulk-miss seam summary. None when the cell was
-    # replayed from checkpoint/store or ran on the reference engine.
+    # served from the campaign or global store or ran on the reference
+    # engine.
     diagnostics: Optional[dict] = None
 
     @property
@@ -355,7 +366,7 @@ class TaskResult(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# Stable task identity (checkpoint keys).
+# Stable task identity (result-entry keys).
 # ----------------------------------------------------------------------
 
 
@@ -373,7 +384,7 @@ def task_key(task: SimTask) -> str:
 
     The key depends only on field values — not on object identity or
     field declaration order — so the same logical cell maps to the same
-    checkpoint file across processes, sessions and matrices.
+    result entry across processes, sessions and matrices.
     """
     payload = {"app": task.app, "config": config_to_dict(task.config)}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -517,43 +528,6 @@ def parallel_map(
 
 
 # ----------------------------------------------------------------------
-# Checkpoint persistence.
-# ----------------------------------------------------------------------
-
-
-def _checkpoint_path(checkpoint_dir: Path, key: str) -> Path:
-    return checkpoint_dir / f"{key}.json"
-
-
-def _save_checkpoint(path: Path, task: SimTask, key: str, stats: SimStats) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "key": key,
-        "app": task.app,
-        "config": config_to_dict(task.config),
-        "stats": stats.to_dict(),
-    }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def _load_checkpoint(path: Path, key: str) -> Optional[SimStats]:
-    """The persisted stats of one cell, or None when absent/corrupt.
-
-    A checkpoint that fails to parse (truncated write, format drift, key
-    mismatch) is treated as missing — the cell simply reruns.
-    """
-    try:
-        payload = json.loads(path.read_text())
-        if payload.get("format") != CHECKPOINT_FORMAT or payload.get("key") != key:
-            return None
-        return SimStats.from_dict(payload["stats"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-# ----------------------------------------------------------------------
 # Run manifest.
 # ----------------------------------------------------------------------
 
@@ -626,7 +600,7 @@ def _manifest_entry(result: TaskResult, key: str) -> dict:
 
 
 def _write_manifest(
-    checkpoint_dir: Path,
+    campaign_dir: Path,
     label: Optional[str],
     results: Sequence[TaskResult],
     keys: Sequence[str],
@@ -663,7 +637,7 @@ def _write_manifest(
         "failures": [e["key"] for e in entries if not e["ok"]],
         "tasks": entries,
     }
-    path = checkpoint_dir / name
+    path = campaign_dir / name
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     os.replace(tmp, path)
@@ -697,7 +671,7 @@ class _Progress:
         self.last_emit = 0.0
         if enabled and resumed:
             print(
-                f"{self.prefix} resumed {resumed}/{total} cells from checkpoints",
+                f"{self.prefix} resumed {resumed}/{total} cells from stored results",
                 file=sys.stderr,
             )
 
@@ -730,22 +704,31 @@ class _Progress:
 # ----------------------------------------------------------------------
 
 
-def _detailed_child(conn, task_fn, index, task, retries):
-    """Child-process body: run one cell with retries, report over the pipe."""
+def _attempt_cell(task_fn, task, retries):
+    """Run one cell, retrying a failure in place up to ``retries`` times.
+
+    Returns ``(stats, error, attempts, wall_seconds, diagnostics)``;
+    ``error`` is the last attempt's traceback text, ``None`` on success.
+    Only ``Exception`` is captured, so ``KeyboardInterrupt`` propagates.
+    """
     start = time.perf_counter()  # repro-lint: disable=RPL004; cell runtime metric
     error = None
-    attempts = 0
-    for attempt in range(1, max(retries, 0) + 2):
-        attempts = attempt
+    for attempts in range(1, max(retries, 0) + 2):
+        consume_diagnostics()  # each attempt starts with none
         try:
             stats = task_fn(task)
         except Exception:
             error = traceback.format_exc()
         else:
-            conn.send((index, stats, None, attempts, time.perf_counter() - start, consume_diagnostics()))  # repro-lint: disable=RPL004; cell runtime metric
-            conn.close()
-            return
-    conn.send((index, None, error, attempts, time.perf_counter() - start, None))  # repro-lint: disable=RPL004; cell runtime metric
+            wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+            return stats, None, attempts, wall, consume_diagnostics()
+    wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+    return None, error, attempts, wall, None
+
+
+def _detailed_child(conn, task_fn, task, retries):
+    """Child-process body: run one cell with retries, report over the pipe."""
+    conn.send(_attempt_cell(task_fn, task, retries))
     conn.close()
 
 
@@ -753,34 +736,16 @@ def _run_serial(tasks, indices, task_fn, retries, on_complete):
     """Inline execution; identical capture semantics, no processes.
 
     ``KeyboardInterrupt`` propagates to the caller after the completed
-    cells have been reported (and therefore checkpointed).
+    cells have been reported (and therefore saved to the campaign store).
     """
     for i in indices:
-        start = time.perf_counter()  # repro-lint: disable=RPL004; cell runtime metric
-        stats = None
-        error = None
-        attempts = 0
-        for attempt in range(1, max(retries, 0) + 2):
-            attempts = attempt
-            try:
-                stats = task_fn(tasks[i])
-            except KeyboardInterrupt:
-                raise
-            except Exception:
-                error = traceback.format_exc()
-            else:
-                error = None
-                break
+        stats, error, attempts, wall, diagnostics = _attempt_cell(
+            task_fn, tasks[i], retries
+        )
         on_complete(
             TaskResult(
-                i,
-                tasks[i],
-                stats,
-                error,
-                attempts,
-                time.perf_counter() - start,  # repro-lint: disable=RPL004; cell runtime metric
-                False,
-                diagnostics=consume_diagnostics() if error is None else None,
+                i, tasks[i], stats, error, attempts, wall, False,
+                diagnostics=diagnostics,
             )
         )
 
@@ -804,7 +769,7 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_detailed_child,
-                    args=(child_conn, task_fn, i, tasks[i], retries),
+                    args=(child_conn, task_fn, tasks[i], retries),
                 )
                 proc.start()
                 child_conn.close()
@@ -816,7 +781,7 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                 i = by_conn[conn]
                 proc, _, started = running.pop(i)
                 try:
-                    _, stats, error, attempts, wall, diagnostics = conn.recv()
+                    stats, error, attempts, wall, diagnostics = conn.recv()
                 except EOFError:
                     proc.join()
                     on_complete(
@@ -886,10 +851,12 @@ def run_matrix_detailed(
     result with ``error`` set while every other cell completes normally.
     ``retries`` reruns a failing cell in place before recording it.
 
-    With ``checkpoint_dir``, completed cells are persisted as JSON and
-    skipped on the next run (``from_checkpoint=True``), and a manifest
-    is written when the matrix finishes — or is interrupted, in which
-    case :class:`CampaignInterrupted` carries the partial results.
+    With ``checkpoint_dir``, the directory is a campaign store
+    (:class:`~repro.store.ResultStore`): completed cells are saved as
+    result entries and served on the next run (``from_checkpoint=True``),
+    and a manifest is written when the matrix finishes — or is
+    interrupted, in which case :class:`CampaignInterrupted` carries the
+    partial results.
 
     ``task_timeout`` needs worker processes to enforce, so it is ignored
     on the inline ``jobs=1`` path.
@@ -909,47 +876,39 @@ def run_matrix_detailed(
     jobs = max(1, min(jobs, len(tasks))) if tasks else 1
 
     keys = [task_key(task) for task in tasks]
+    configs = [config_to_dict(task.config) for task in tasks]
     results: List[Optional[TaskResult]] = [None] * len(tasks)
-    ckpt = Path(checkpoint_dir) if checkpoint_dir else None
-    # The store holds run_simulation_task results; a custom task_fn
-    # computes something else under the same keys, so never serve it
-    # store entries (checkpoints are per-campaign and stay the caller's
-    # responsibility to scope).
-    store = get_store() if task_fn is run_simulation_task else None
-    to_run: List[int] = []
-    if ckpt is not None or store is not None:
-        if ckpt is not None:
-            ckpt.mkdir(parents=True, exist_ok=True)
-        for i, task in enumerate(tasks):
-            stats = None
-            from_checkpoint = from_store = False
-            if ckpt is not None:
-                stats = _load_checkpoint(_checkpoint_path(ckpt, keys[i]), keys[i])
-                from_checkpoint = stats is not None
-            if stats is None and store is not None:
-                stats = store.load_result(
-                    keys[i], task.app, config_to_dict(task.config)
-                )
-                from_store = stats is not None
-            if stats is None:
-                to_run.append(i)
-                continue
-            # Promote each way so the next consumer finds it closer:
-            # a store hit seeds this campaign's checkpoints, a resumed
-            # checkpoint seeds the store for every other campaign.
-            if from_store and ckpt is not None:
-                _save_checkpoint(
-                    _checkpoint_path(ckpt, keys[i]), task, keys[i], stats
-                )
-            if from_checkpoint and store is not None and not store.has_result(keys[i]):
-                store.save_result(
-                    keys[i], task.app, config_to_dict(task.config), stats
-                )
-            results[i] = TaskResult(
-                i, task, stats, None, 0, 0.0, from_checkpoint, from_store
-            )
+    campaign = ResultStore(Path(checkpoint_dir)) if checkpoint_dir else None
+    if campaign is not None:
+        campaign.root.mkdir(parents=True, exist_ok=True)
+    # The global store holds run_simulation_task results; a custom task_fn
+    # computes something else under the same keys, so it is never served
+    # global entries (campaign entries are per-campaign and stay the
+    # caller's responsibility to scope). The real simulation skips
+    # run_simulation_task's own lookup: cells reaching the executor have
+    # already missed the one below.
+    if task_fn is run_simulation_task:
+        store = get_store()
+        task_fn = _simulate_and_save
     else:
-        to_run = list(range(len(tasks)))
+        store = None
+    stores = [s for s in (campaign, store) if s is not None]
+    to_run: List[int] = []
+    for i, task in enumerate(tasks):
+        found = [s.load_result(keys[i], task.app, configs[i]) for s in stores]
+        stats = next((hit for hit in found if hit is not None), None)
+        if stats is None:
+            to_run.append(i)
+            continue
+        # One promote rule: the hit is saved into whichever store missed,
+        # so the next run (this campaign or any other) finds it there.
+        for s, hit in zip(stores, found):
+            if hit is None:
+                s.save_result(keys[i], task.app, configs[i], stats)
+        from_checkpoint = campaign is not None and found[0] is not None
+        results[i] = TaskResult(
+            i, task, stats, None, 0, 0.0, from_checkpoint, not from_checkpoint
+        )
 
     reporter = _Progress(
         total=len(tasks),
@@ -959,13 +918,9 @@ def run_matrix_detailed(
     )
 
     def on_complete(result: TaskResult) -> None:
-        if result.ok and ckpt is not None:
-            _save_checkpoint(
-                _checkpoint_path(ckpt, keys[result.index]),
-                result.task,
-                keys[result.index],
-                result.stats,
-            )
+        if result.ok and campaign is not None:
+            i = result.index
+            campaign.save_result(keys[i], result.task.app, configs[i], result.stats)
         results[result.index] = result
         reporter.completed(result)
 
@@ -981,14 +936,14 @@ def run_matrix_detailed(
             else TaskResult(i, tasks[i], None, "interrupted before completion", 0, 0.0, False)
             for i, res in enumerate(results)
         ]
-        if ckpt is not None:
-            _write_manifest(ckpt, label, partial, keys, jobs, interrupted=True)
+        if campaign is not None:
+            _write_manifest(campaign.root, label, partial, keys, jobs, interrupted=True)
         raise CampaignInterrupted(partial) from None
 
     final = [res for res in results if res is not None]
     assert len(final) == len(tasks), "executor lost a cell"
-    if ckpt is not None:
-        _write_manifest(ckpt, label, final, keys, jobs, interrupted=False)
+    if campaign is not None:
+        _write_manifest(campaign.root, label, final, keys, jobs, interrupted=False)
     return final
 
 
@@ -1003,10 +958,10 @@ def run_matrix(
 ) -> List[SimStats]:
     """Run an experiment matrix; results align index-for-index with tasks.
 
-    Built on :func:`run_matrix_detailed`, so checkpointing, retries and
-    interrupt handling apply; a cell that still fails raises
+    Built on :func:`run_matrix_detailed`, so the campaign store, retries
+    and interrupt handling apply; a cell that still fails raises
     :class:`TaskError` identifying the task (after every other cell has
-    completed — and, with a checkpoint directory, been persisted).
+    completed — and, with a campaign directory, been saved).
     """
     detailed = run_matrix_detailed(
         tasks,

@@ -1,19 +1,26 @@
-"""Cross-run result store: compute each simulation cell once, ever.
+"""Result store: compute each simulation cell once, ever.
 
-The PR 2 checkpoints made one *campaign* resumable; this module makes
-results global. A :class:`ResultStore` is a content-addressed directory
-(default ``~/.cache/repro``, overridden by the ``REPRO_STORE``
-environment variable) holding two kinds of entries:
+A :class:`ResultStore` is a content-addressed directory holding two
+kinds of entries. The process-wide *global* store (:func:`get_store`)
+lives at ``~/.cache/repro`` unless the ``REPRO_STORE`` environment
+variable points elsewhere or turns it off. A campaign directory
+(``repro-sim experiment --out DIR``) is opened as a second, per-campaign
+``ResultStore`` whose result entries make the campaign resumable; see
+:func:`repro.sim.runner.run_matrix_detailed`. Both are the same class
+with the same on-disk layout and the same checks.
 
-* **results** — the ``SimStats`` of one (config, app) cell, keyed by the
-  same stable ``task_key`` hash the checkpoints use. Any entry point
-  that funnels through :func:`repro.sim.runner.run_simulation_task` —
-  ``run_matrix``, the CLI ``run``/``experiment`` subcommands, every
-  experiment driver, the benchmark harness — reuses them.
-* **warm-state snapshots** — the post-warmup architectural state of a
-  simulated system (:meth:`repro.sim.system.SimulatedSystem.snapshot`),
-  keyed by a *warmup fingerprint*: the config minus fields provably
-  inert before measurement begins. A period sweep warms once and forks.
+* **results** — ``results/<key>.json``: the ``SimStats`` of one
+  (config, app) cell, keyed by the stable ``task_key`` hash. Any entry
+  point that funnels through :func:`repro.sim.runner.run_simulation_task`
+  — ``run_matrix``, the CLI ``run``/``experiment`` subcommands, every
+  experiment driver and the paper-figure suite under ``benchmarks/`` —
+  reuses them. The repo benchmark ``bench/`` does not: it builds
+  systems directly and runs with the store off.
+* **warm-state snapshots** — ``snapshots/<key>.pkl``: the post-warmup
+  architectural state of a simulated system
+  (:meth:`repro.sim.system.SimulatedSystem.snapshot`), keyed by a
+  *warmup fingerprint*: the config minus fields provably inert before
+  measurement begins. A period sweep warms once and forks.
 
 Trust model
 -----------
@@ -32,9 +39,9 @@ Every entry embeds three things the loader verifies before serving:
 
 A failed check is **skipped loudly**: one line on stderr naming the
 entry and the reason, a bump of the ``skipped`` counter, and a miss —
-mirroring the ``_load_checkpoint`` hardening, but never silent, because
-a store serves many campaigns and a corrupt entry would otherwise cost
-every one of them a recompute with no trace of why.
+never silent, because a store serves many campaigns and a corrupt entry
+would otherwise cost every one of them a recompute with no trace of
+why.
 
 Hit/miss/skip counters accumulate per store instance; campaign manifests
 and ``repro-sim profile`` surface them so reuse wins are visible instead
@@ -144,10 +151,6 @@ class ResultStore:
 
     def _result_path(self, key: str) -> Path:
         return self.results_dir / f"{key}.json"
-
-    def has_result(self, key: str) -> bool:
-        """Whether an entry file exists (no validation, no counters)."""
-        return self._result_path(key).exists()
 
     def load_result(
         self, key: str, app: str, config_dict: dict

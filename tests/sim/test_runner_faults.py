@@ -6,8 +6,8 @@ The guarantees under test:
   identifies the task (index, app) — identically at any job count;
 * a worker process dying abruptly, or exceeding the task timeout, is
   recorded as that cell's failure while its siblings complete;
-* Ctrl-C mid-campaign keeps the completed cells (persisted when a
-  checkpoint directory is active) and the resumed matrix is
+* Ctrl-C mid-campaign keeps the completed cells (saved when a
+  campaign directory is active) and the resumed matrix is
   bit-identical — full ``SimStats`` dict diff — to an uninterrupted
   serial run;
 * the manifest records tasks, seeds, job count, wall-clock and failures.
@@ -206,7 +206,7 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_treated_as_missing(self, tmp_path):
         tasks = seed_tasks(1)
         run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
-        cell = tmp_path / f"{task_key(tasks[0])}.json"
+        cell = tmp_path / "results" / f"{task_key(tasks[0])}.json"
         cell.write_text("{ truncated")
         results = run_matrix_detailed(tasks, jobs=1, checkpoint_dir=str(tmp_path))
         assert results[0].ok and not results[0].from_checkpoint

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro import store as store_mod
-from repro.sim import SimConfig, SimTask, run_matrix_detailed, task_key
+from repro.sim import SimConfig, SimStats, SimTask, run_matrix_detailed, task_key
 from repro.sim.runner import (
     WARMUP_INERT_FIELDS,
     config_to_dict,
@@ -80,6 +80,8 @@ class TestResultReuse:
         tasks = [SimTask(tiny_config(seed=s), "fft") for s in (7, 8)]
         first = run_matrix_detailed(tasks, jobs=1)
         assert all(not r.from_store for r in first)
+        # One lookup per fresh cell: the worker does not look it up again.
+        assert fresh_store.counters()["misses"] == len(tasks)
         second = run_matrix_detailed(tasks, jobs=1)
         assert all(r.from_store and not r.from_checkpoint for r in second)
         assert [r.stats.to_dict() for r in second] == [
@@ -106,13 +108,42 @@ class TestResultReuse:
         # Store hit seeds the campaign's checkpoint directory...
         run_simulation_task(task)
         run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt))
-        assert (ckpt / f"{key}.json").exists()
+        assert (ckpt / "results" / f"{key}.json").exists()
         # ...and a resumed checkpoint seeds an empty store.
         for entry in fresh_store.results_dir.iterdir():
             entry.unlink()
         resumed = run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt))
         assert resumed[0].from_checkpoint
-        assert fresh_store.has_result(key)
+        assert (fresh_store.results_dir / f"{key}.json").exists()
+
+    def test_stale_campaign_entry_is_recomputed_not_promoted(
+        self, fresh_store, tmp_path, capsys
+    ):
+        task = SimTask(tiny_config(seed=22), "fft")
+        key = task_key(task)
+        ckpt = tmp_path / "campaign"
+        (fresh,) = run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt))
+        # An entry from before a STATE_VERSION bump, whose stats the old
+        # semantics computed differently; the global store has none.
+        entry = ckpt / "results" / f"{key}.json"
+        payload = json.loads(entry.read_text())
+        payload["state_version"] = STATE_VERSION - 1
+        payload["stats"]["l1_accesses"] += 1
+        entry.write_text(json.dumps(payload))
+        (fresh_store.results_dir / f"{key}.json").unlink()
+        capsys.readouterr()
+
+        (rerun,) = run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt))
+        assert not rerun.from_checkpoint and not rerun.from_store
+        assert rerun.stats.to_dict() == fresh.stats.to_dict()
+        err = capsys.readouterr().err
+        assert err.count("[repro.store] skipping result") == 1
+        assert "state_version" in err
+        for path in (entry, fresh_store.results_dir / f"{key}.json"):
+            saved = json.loads(path.read_text())
+            assert saved["state_version"] == STATE_VERSION
+            served = SimStats.from_dict(saved["stats"])
+            assert served.to_dict() == fresh.stats.to_dict()
 
     def test_manifest_reports_store_traffic(self, fresh_store, tmp_path):
         task = SimTask(tiny_config(seed=31), "fft")
@@ -171,6 +202,16 @@ class TestResultHardening:
         run_simulation_task(other)
         assert fresh_store.counters()["skipped"] == skipped_before + 1
         assert "embedded key" in capsys.readouterr().err
+
+    def test_matrix_prints_one_skip_line_per_corrupt_entry(
+        self, fresh_store, capsys
+    ):
+        task, path = self._stored_entry(fresh_store)
+        path.write_text("{ truncated")
+        (result,) = run_matrix_detailed([task], jobs=1)
+        assert result.ok and not result.from_store
+        assert fresh_store.counters()["skipped"] == 1
+        assert capsys.readouterr().err.count("[repro.store] skipping result") == 1
 
     def test_save_is_atomic(self, fresh_store):
         task = SimTask(tiny_config(seed=43), "fft")

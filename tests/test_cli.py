@@ -142,8 +142,7 @@ class TestExperimentCampaign:
             "from_store": 0,
             "wall_seconds": manifest["totals"]["wall_seconds"],
         }
-        cells = [p for p in out.glob("*.json") if not p.name.startswith("manifest")]
-        assert len(cells) == 2
+        assert len(list((out / "results").glob("*.json"))) == 2
 
     def test_resume_reuses_checkpointed_cells(self, tmp_path, capsys):
         out = tmp_path / "campaign"
