@@ -69,19 +69,18 @@ class PrivateHierarchy:
         self._l2_result = AccessResult(AccessResult.L2, l1_latency + l2_latency)
         self._miss_result = AccessResult(AccessResult.MISS, l1_latency + l2_latency)
         # Direct references into both caches' set arrays, fixed for the
-        # cache's lifetime: `access` and the batched kernel's call-free
-        # copy of it index them directly, and the system snapshot
-        # captures and restores them in place.
+        # cache's lifetime: the batched kernel's call-free copy of
+        # `access` and `fill` indexes them directly, and the system
+        # snapshot captures and restores them in place.
         self._l1_sets = self.l1._sets
         self._l1_mask = self.l1._set_mask
         self._l1_ways = self.l1.ways
         self._l2_sets = self.l2._sets
         self._l2_mask = self.l2._set_mask
         self._l2_ways = self.l2.ways
-        self._l2_observer = self.l2.observer
-        # The L1 promote in `access` (and the batched kernel's copy)
-        # assumes the L1 carries no observer (only the L2 has one — the
-        # residence counters).
+        # The batched kernel's copy of the L1 promote and fill assumes the
+        # L1 carries no observer (only the L2 has one — the residence
+        # counters).
         assert self.l1.observer is None
 
     def access(self, block: int, vm_id: int, is_write: bool) -> AccessResult:
@@ -89,37 +88,22 @@ class PrivateHierarchy:
 
         On an L2 hit the block is promoted into the L1. A miss performs no
         allocation — the caller runs the coherence transaction and then
-        calls :meth:`fill`.
-
-        The reference engine's lookup: equivalent to ``l1.lookup`` then
-        ``l2.lookup`` with the promote as ``l1.insert``, spelled on the set
-        dicts directly (see __init__). The batched kernel inlines the same
-        operations in the same order.
+        calls :meth:`fill`. The batched kernel spells the same operations,
+        in the same order, on the set dicts directly.
         """
-        l1_set = self._l1_sets[block & self._l1_mask]
-        l1_line = l1_set.get(block)
-        if l1_line is not None:
-            del l1_set[block]
-            l1_set[block] = l1_line
+        line = self.l1.lookup(block)
+        if line is not None:
             self.l1_hits += 1
             if is_write:
-                l1_line.dirty = True
+                line.dirty = True
                 self.l2.mark_dirty(block)
             return self._l1_result
-        l2_set = self._l2_sets[block & self._l2_mask]
-        l2_line = l2_set.get(block)
-        if l2_line is not None:
-            del l2_set[block]
-            l2_set[block] = l2_line
+        line = self.l2.lookup(block)
+        if line is not None:
             self.l2_hits += 1
             if is_write:
-                l2_line.dirty = True
-            # Inlined `l1.insert` for the promote: the block is known
-            # absent (the L1 lookup above missed), the L1 has no observer,
-            # and its victim is dropped silently under inclusion.
-            if len(l1_set) >= self._l1_ways:
-                del l1_set[next(iter(l1_set))]
-            l1_set[block] = CacheLine(block, vm_id, is_write)
+                line.dirty = True
+            self.l1.insert(block, vm_id, dirty=is_write)
             return self._l2_result
         self.misses += 1
         return self._miss_result

@@ -13,9 +13,10 @@ events; the virtual-snooping residence counters
 (:mod:`repro.core.residence`) are implemented as an observer so the
 cache substrate stays protocol-agnostic.
 
-:meth:`SetAssociativeCache.packed` exports a flat-list mirror of the
-tag/LRU/dirty state for the structural self-check
-(:meth:`validate_packed`) the kernel differential suite runs.
+The batched kernel (:mod:`repro.sim.kernel`) spells lookup, touch and
+fill directly on these set dicts; the kernel differential suites compare
+every set's contents and LRU order against the reference engine's at
+the end of each run.
 """
 
 from __future__ import annotations
@@ -186,69 +187,3 @@ class SetAssociativeCache:
         for line in removed:
             self.invalidate(line.block)
         return removed
-
-    # ------------------------------------------------------------------
-    # Array-backed mirror.
-    # ------------------------------------------------------------------
-
-    def packed(self):
-        """Flat-list mirror of the tag/LRU/dirty/VM state.
-
-        Returns ``(tags, vm_ids, dirty)``, each of shape
-        ``num_sets * ways`` flattened set-major: entry ``s * ways + w``
-        describes the line at LRU position ``w`` (least- to most-recent)
-        of set ``s``; empty ways hold ``-1`` tags.
-
-        The dict sets stay the source of truth — the mirror is built on
-        demand for :meth:`validate_packed`.
-        """
-        ways = self.ways
-        size = self.num_sets * ways
-        tags = [-1] * size
-        vm_ids = [-1] * size
-        dirty = [False] * size
-        for set_index, cache_set in enumerate(self._sets):
-            base = set_index * ways
-            for way, line in enumerate(cache_set.values()):
-                tags[base + way] = line.block
-                vm_ids[base + way] = line.vm_id
-                dirty[base + way] = line.dirty
-        return tags, vm_ids, dirty
-
-    def validate_packed(self) -> None:
-        """Structural self-check through the packed mirror.
-
-        Rebuilds :meth:`packed` and asserts the invariants any correct
-        set-associative state satisfies: every resident tag indexes its
-        own set, no set exceeds its way count, no tag appears twice in a
-        set, and occupied ways are packed before empty ones (LRU order
-        is a prefix). Raises ``AssertionError`` with a diagnostic on the
-        first violation.
-        """
-        tags, _vm_ids, _dirty = self.packed()
-        ways = self.ways
-        mask = self._set_mask
-        for set_index in range(self.num_sets):
-            base = set_index * ways
-            row = tags[base : base + ways]
-            seen_empty = False
-            occupied = []
-            for way in range(ways):
-                tag = int(row[way])
-                if tag < 0:
-                    seen_empty = True
-                    continue
-                assert not seen_empty, (
-                    f"set {set_index}: occupied way {way} after an empty way"
-                )
-                assert (tag & mask) == set_index, (
-                    f"set {set_index}: tag {tag:#x} belongs to set {tag & mask}"
-                )
-                occupied.append(tag)
-            assert len(set(occupied)) == len(occupied), (
-                f"set {set_index}: duplicate tags {occupied}"
-            )
-            assert len(occupied) == len(self._sets[set_index]), (
-                f"set {set_index}: mirror has {len(occupied)} lines, "
-                f"dict has {len(self._sets[set_index])}"
-            )

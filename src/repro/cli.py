@@ -17,7 +17,9 @@ job count, only wall-clock time changes.
 completed cell is saved as a result entry under ``DIR/results/``, a
 manifest records what ran, and ``--resume`` re-runs only the missing
 cells (Ctrl-C keeps what finished). ``--retries`` and
-``--task-timeout`` bound individual cell failures and hangs.
+``--task-timeout`` bound individual cell failures and hangs. Studies
+that never reach the campaign runner (``fig2``, ``fig3``/``tab1``,
+``clustered``) refuse ``--out``.
 
 Examples::
 
@@ -66,6 +68,11 @@ EXPERIMENTS = {
         "Extension: workload pattern suites x snoop policies",
     ),
 }
+
+# Studies that never reach the campaign runner (run_matrix): fig2 is
+# analytic, and the scheduler studies map their cells through
+# parallel_map. --out/--resume would silently write nothing for them.
+_UNCHECKPOINTED = frozenset({"fig2", "fig3", "tab1", "clustered"})
 
 _POLICY_NAMES = {policy.value: policy for policy in SnoopPolicy}
 _CONTENT_NAMES = {policy.value: policy for policy in ContentPolicy}
@@ -398,6 +405,11 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
     if args.resume and not args.out:
         parser.error("--resume requires --out DIR")
+    if args.out and args.name in _UNCHECKPOINTED:
+        parser.error(
+            f"experiment {args.name} cannot be checkpointed: it does not run "
+            f"through the campaign runner, so --out/--resume would write nothing"
+        )
     if args.retries < 0:
         parser.error("--retries must be >= 0")
     if args.task_timeout is not None and args.task_timeout <= 0:

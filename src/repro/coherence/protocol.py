@@ -19,7 +19,7 @@ provider copy when one is inside the destination set, else from memory.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Optional
+from typing import Dict, Optional
 
 from repro.cache.hierarchy import PrivateHierarchy
 from repro.cache.line import CacheLine
@@ -90,29 +90,14 @@ class TokenProtocol:
         )
 
     def _memory_read_latency(self, core: int, cycle: int) -> int:
-        """Request to the memory node, DRAM access, data back (with traffic).
-
-        Fused equivalent of ``send(core, node, REQUEST)`` + DRAM read +
-        ``send(node, core, DATA)``: XY hop counts are symmetric and the
-        window can only roll over once per cycle value, so the two sends'
-        traffic is charged in one batch with identical totals.
-        """
-        network = self.network
-        if cycle - network._window_start >= network.window_cycles:
-            network._advance_window(cycle)
+        """Request to the memory node, DRAM access, data back (with traffic)."""
         node = self.memory.node
-        if core == node:
-            return self.memory.read()
-        hops = network._hops[core][node]
-        flit_hops = (
-            network._flits[MessageKind.REQUEST] + network._flits[MessageKind.DATA]
-        ) * hops
-        network.messages += 2
-        network.flit_hops += flit_hops
-        network.bytes_transferred += flit_hops * network.sizing.link_bytes
-        network._window_flit_hops += flit_hops
-        path = hops * network._per_hop + network.contention_delay()
-        return path + self.memory.read() + path
+        send = self.network.send
+        return (
+            send(core, node, MessageKind.REQUEST, cycle)
+            + self.memory.read()
+            + send(node, core, MessageKind.DATA, cycle)
+        )
 
     # ------------------------------------------------------------------
     # Transaction execution.
@@ -135,17 +120,9 @@ class TokenProtocol:
         broadcast fallback, which is a correctness bug worth failing
         loudly on.
         """
-        # Inlined CoherenceStats.record_transaction / record_snoops: this
-        # runs once per coherence transaction and the method-call overhead
-        # shows up in profiles.
         stats = self.stats
         page_type = plan.page_type
-        stats.transactions += 1
-        stats.transactions_by_page_type[page_type] += 1
-        if is_write:
-            stats.getm_count += 1
-        else:
-            stats.gets_count += 1
+        stats.record_transaction(page_type, is_write)
         if plan.ro_shared and not is_write:
             self._record_ro_holders(core, block, plan)
         total_latency = 0
@@ -153,9 +130,7 @@ class TokenProtocol:
         last = len(attempts) - 1
         multicast = self.network.multicast
         for index, destinations in enumerate(attempts):
-            snoops = len(destinations)
-            stats.snoops += snoops
-            stats.snoops_by_page_type[page_type] += snoops
+            stats.record_snoops(len(destinations), page_type)
             if index == last and index > 0 and plan.last_is_persistent:
                 stats.persistent_requests += 1
             # The request multicast (cores) + the memory controller copy.
@@ -181,15 +156,11 @@ class TokenProtocol:
         )
 
     def _try_gets(self, core, vm_id, block, destinations, cycle):
-        # Reads the registry record directly (state_of) instead of the
-        # copying owner_of/sharers_of accessors — this path runs for every
-        # read miss and the per-call set copies dominated it.
-        state = self.registry.state_of(block)
-        owner = state.owner if state is not None else MEMORY
+        owner = self.registry.owner_of(block)
         if owner == MEMORY:
             latency = self._memory_read_latency(core, cycle)
             self.stats.memory_sourced += 1
-            if state is None or not state.sharers:
+            if not self.registry.sharers_of(block):
                 # MOESI E state: the sole copy receives all tokens clean,
                 # so a subsequent first store upgrades silently.
                 self.registry.grant_exclusive(core, block, dirty=False)
@@ -236,19 +207,12 @@ class TokenProtocol:
         return latency, TransactionResult.SOURCE_MEMORY, False
 
     def _try_getm(self, core, block, destinations, cycle):
-        state = self.registry.state_of(block)
-        if state is None:
-            sharers: AbstractSet[int] = frozenset()
-            owner = MEMORY
-        else:
-            sharers = state.sharers
-            owner = state.owner
-        # Success requires every sharer besides the requester (and the
-        # owner) to be inside the destination set; checked element-wise to
-        # avoid building the `sharers - {core}` difference set per attempt.
-        for sharer in sharers:
-            if sharer != core and sharer not in destinations:
-                return None
+        sharers = self.registry.sharers_of(block)
+        owner = self.registry.owner_of(block)
+        # Success requires every token holder besides the requester (the
+        # sharers and a cache owner) to be inside the destination set.
+        if not (sharers - {core}) <= destinations:
+            return None
         if owner != MEMORY and owner != core and owner not in destinations:
             return None
         had_copy = core in sharers
@@ -291,28 +255,17 @@ class TokenProtocol:
         return max(data_latency, ack_latency), source, True
 
     def _record_ro_holders(self, core: int, block: int, plan: RequestPlan) -> None:
-        """Table VI bookkeeping: where *could* this RO miss have been served?
-
-        Loops over the live sharer set instead of materialising the
-        ``holders`` difference and the intersection sets per miss.
-        """
+        """Table VI bookkeeping: where *could* this RO miss have been served?"""
         self.stats.ro_misses += 1
-        state = self.registry.state_of(block)
-        sharers = state.sharers if state is not None else ()
-        if not sharers or (len(sharers) == 1 and core in sharers):
+        holders = self.registry.sharers_of(block) - {core}
+        if not holders:
             self.stats.ro_holder_memory_only += 1
             return
         self.stats.ro_holder_any_cache += 1
-        intra = plan.stats_intra_domain
-        for sharer in sharers:
-            if sharer != core and sharer in intra:
-                self.stats.ro_holder_intra_vm += 1
-                return
-        friend = plan.stats_friend_domain
-        for sharer in sharers:
-            if sharer != core and sharer in friend:
-                self.stats.ro_holder_friend_vm += 1
-                return
+        if holders & plan.stats_intra_domain:
+            self.stats.ro_holder_intra_vm += 1
+        elif holders & plan.stats_friend_domain:
+            self.stats.ro_holder_friend_vm += 1
 
     # ------------------------------------------------------------------
     # Evictions (replacement victims leaving an L2).

@@ -135,9 +135,6 @@ class CoherenceSanitizer:
                 CompositeObserver(existing, shadow) if existing is not None else shadow
             )
             hierarchy.l2.observer = observer
-            # The hierarchy (and the engine's inlined fill path) cache the
-            # observer reference; keep the alias coherent.
-            hierarchy._l2_observer = observer
         return self
 
     def wrap_plan(

@@ -21,8 +21,6 @@ import heapq
 import random
 from typing import List, Optional, Tuple
 
-
-from repro.cache.line import CacheLine
 from repro.core.clock import SimClock
 from repro.core.residence import UNTRACKED_VM
 from repro.hypervisor.vm import DOM0_VM_ID, VCpu
@@ -356,34 +354,7 @@ class SimulationEngine:
             core, vm_id, block, is_write, plan, cycle=self.clock.now
         )
         if not hit:
-            # Inlined PrivateHierarchy.fill (see that method for the
-            # canonical version): the block is known absent at both levels
-            # — the caller just missed, and the transaction above only
-            # invalidates *other* cores' copies — and the L1 carries no
-            # observer. Observer event order (evict, then insert) matches
-            # SetAssociativeCache.insert.
-            dirty = is_write or outcome.fill_dirty
-            l2_set = hierarchy._l2_sets[block & hierarchy._l2_mask]
-            observer = hierarchy._l2_observer
-            victim = None
-            if len(l2_set) >= hierarchy._l2_ways:
-                victim = l2_set.pop(next(iter(l2_set)))
-                if observer is not None:
-                    observer.on_evict(victim)
-            line = CacheLine(block, vm_tag, dirty)
-            l2_set[block] = line
-            if observer is not None:
-                observer.on_insert(line)
-            if victim is not None:
-                # Inclusion: drop the victim's L1 copy (before the L1
-                # capacity check below, as fill does).
-                hierarchy._l1_sets[victim.block & hierarchy._l1_mask].pop(
-                    victim.block, None
-                )
-            l1_set = hierarchy._l1_sets[block & hierarchy._l1_mask]
-            if len(l1_set) >= hierarchy._l1_ways:
-                del l1_set[next(iter(l1_set))]
-            l1_set[block] = CacheLine(block, vm_tag, dirty)
+            victim = hierarchy.fill(block, vm_tag, is_write or outcome.fill_dirty)
             if victim is not None:
                 self._handle_eviction(core, victim, cycle=self.clock.now)
         if self._observe_outcome is not None:

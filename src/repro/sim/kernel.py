@@ -63,10 +63,6 @@ from repro.workloads.trace import Initiator
 # jobs force a kernel across a whole suite without touching configs).
 _KERNEL_ENV = "REPRO_KERNEL"
 
-# When set, every batched phase ends with a structural validation of
-# all caches through the packed mirror (SetAssociativeCache.packed).
-_VALIDATE_ENV = "REPRO_KERNEL_VALIDATE"
-
 
 def engine_for(system: SimulatedSystem) -> SimulationEngine:
     """The engine selected by ``config.kernel`` (and ``REPRO_KERNEL``).
@@ -231,15 +227,15 @@ class BatchedEngine(SimulationEngine):
             cache_line = CacheLine
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
-            l2_observers = [h._l2_observer for h in hierarchies]
+            # Read once per phase: observers are attached before a run.
+            l2_observers = [h.l2.observer for h in hierarchies]
             # Residence trackers inline too; any other observer shape
             # falls back to the generic on_evict/on_insert calls.
             res_counts = []
             res_on_low = []
             res_thresholds = []
             res_trackers = []
-            for h in hierarchies:
-                ob = h._l2_observer
+            for ob in l2_observers:
                 if type(ob) is ResidenceTracker:
                     res_trackers.append(ob)
                     res_counts.append(ob._counts)
@@ -304,13 +300,15 @@ class BatchedEngine(SimulationEngine):
                 # ---- commit: the reference path's effects, in its
                 # exact order (_transact -> execute -> _try_* -> fill ->
                 # handle_eviction). One window check covers every
-                # network leg charged at this cycle (the window can roll
-                # over at most once per cycle value — the same fusion
-                # _memory_read_latency uses), so the contention term is
-                # one hoisted constant, and the traffic counters are
-                # flushed in one batch at the end (nothing reads them
-                # mid-transaction: the sanitizer is gated off and
-                # metrics sample between accesses).
+                # network leg charged at this cycle: the window can roll
+                # over at most once per cycle value, so each of the
+                # reference path's network.multicast and network.send
+                # calls (the memory read's REQUEST and DATA sends
+                # included) sees the same contention_delay(). The
+                # contention term is one hoisted constant, and the
+                # traffic counters are flushed in one batch at the end
+                # (nothing reads them mid-transaction: the sanitizer is
+                # gated off and metrics sample between accesses).
                 if cycle - network._window_start >= window_cycles:
                     advance_window(cycle)
                 u = network._last_utilisation
@@ -416,6 +414,9 @@ class BatchedEngine(SimulationEngine):
                             memory.data_reads += 1
                             completion = mem_latency
                         else:
+                            # _memory_read_latency's two sends; hop
+                            # tables are symmetric, so one lookup
+                            # serves both legs.
                             hops = hops_tbl[core][mem_node]
                             msgs += 2
                             fh += rd_flits * hops
@@ -754,12 +755,4 @@ class BatchedEngine(SimulationEngine):
         clock.now = local_time
         stats.l1_accesses += budget * len(vcpus)
         self._next_sample = next_sample
-        if os.environ.get(_VALIDATE_ENV):
-            # Structural self-check of every cache through the packed
-            # mirror (repro.cache.setassoc) — differential CI runs with
-            # this on to catch any LRU-order drift the call-free dict
-            # spellings could introduce.
-            for hierarchy in hierarchies:
-                hierarchy.l1.validate_packed()
-                hierarchy.l2.validate_packed()
         return final

@@ -135,52 +135,3 @@ def test_property_observer_balance(blocks):
     resident = cache.resident_count()
     assert len(obs.inserts) - len(obs.evicts) - len(obs.invalidates) == resident
 
-
-class TestPackedMirror:
-    def test_packed_reflects_lru_order(self):
-        cache = SetAssociativeCache(num_sets=1, ways=4)
-        for block in (1, 2, 3):
-            cache.insert(block, vm_id=7)
-        cache.lookup(1)  # 1 becomes most recent: LRU order 2, 3, 1
-        tags, vm_ids, dirty = cache.packed()
-        assert [int(t) for t in tags] == [2, 3, 1, -1]
-        assert [int(v) for v in vm_ids] == [7, 7, 7, -1]
-        assert [bool(d) for d in dirty] == [False, False, False, False]
-
-    def test_packed_tracks_dirty_and_eviction(self):
-        cache = SetAssociativeCache(num_sets=1, ways=2)
-        cache.insert(10, vm_id=1, dirty=True)
-        cache.insert(20, vm_id=2)
-        cache.insert(30, vm_id=3)  # evicts 10 (LRU)
-        tags, vm_ids, dirty = cache.packed()
-        assert [int(t) for t in tags] == [20, 30]
-        assert [bool(d) for d in dirty] == [False, False]
-        cache.mark_dirty(20)
-        _tags, _vm_ids, dirty = cache.packed()
-        assert [bool(d) for d in dirty] == [True, False]
-
-    def test_packed_set_major_layout(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        cache.insert(4, vm_id=0)  # set 0
-        cache.insert(5, vm_id=0)  # set 1
-        tags, _vm_ids, _dirty = cache.packed()
-        assert [int(t) for t in tags] == [4, -1, 5, -1]
-
-    def test_validate_packed_accepts_heavy_churn(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2)
-        for i in range(300):
-            cache.insert(i * 7 % 64, vm_id=i % 3, dirty=i % 2 == 0)
-            if i % 11 == 0:
-                cache.invalidate(i % 64)
-            if i % 17 == 0:
-                cache.lookup(i * 7 % 64)
-        cache.validate_packed()
-
-    def test_validate_packed_detects_corruption(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        cache.insert(0, vm_id=0)
-        # Plant a line whose tag belongs to the other set.
-        line = cache.lookup(0, touch=False)
-        cache._sets[0][3] = line.__class__(3, 0, False)
-        with pytest.raises(AssertionError):
-            cache.validate_packed()

@@ -1,8 +1,9 @@
 """Differential tests for the batched simulation kernel.
 
 Every test here asserts the same thing at a different seam: a batched
-run's ``SimStats.to_dict()`` is *equal* — not statistically close — to
-the reference engine's on the identical configuration. The boundary
+run's ``SimStats.to_dict()`` and end state (``system.snapshot([])``,
+LRU order included) are *equal* — not statistically close — to the
+reference engine's on the identical configuration. The boundary
 cases target exactly the places a batched loop can silently diverge:
 migration windows and metrics samples landing mid-phase, COW writes and
 shared-line evictions bailing out to the reference machinery, a
@@ -10,7 +11,6 @@ single-access budget, and trace-replay wrap and exhaustion mid-phase
 through the trace workload's stepper.
 """
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -27,6 +27,12 @@ from repro.sim.system import build_system
 from repro.workloads.generator import VmWorkload
 from repro.workloads.profiles import PROFILES
 from repro.workloads.tracefile import TraceReplayWorkload, record_workload
+from tests.sim.differential import (
+    assert_identical,
+    assert_same_end_state,
+    end_state,
+    run_system,
+)
 
 BASE = SimConfig(
     num_cores=4,
@@ -37,18 +43,6 @@ BASE = SimConfig(
     accesses_per_vcpu=600,
     warmup_accesses_per_vcpu=200,
 )
-
-
-def run_stats(config: SimConfig, app: str = "fft") -> str:
-    system = build_system(config, PROFILES[app])
-    engine_for(system).run()
-    return json.dumps(system.stats.to_dict(), sort_keys=True)
-
-
-def assert_identical(config: SimConfig, app: str = "fft") -> None:
-    reference = run_stats(replace(config, kernel="reference"), app)
-    batched = run_stats(replace(config, kernel="batched"), app)
-    assert batched == reference
 
 
 class TestDifferential:
@@ -140,11 +134,9 @@ class TestDifferential:
 
 
 class TestRefillEdges:
-    def test_tiny_word_blocks(self, monkeypatch):
+    def test_tiny_word_blocks(self):
         # Multi-vCPU VMs step per access while migration windows land
-        # mid-phase; validation walks the packed cache mirror at every
-        # phase end.
-        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
+        # mid-phase.
         assert_identical(
             replace(
                 BASE,
@@ -219,13 +211,12 @@ class TestSanitizedBatched:
             snoop_policy=SnoopPolicy.VSNOOP_COUNTER,
             content_policy=ContentPolicy.INTRA_VM,
         )
-        outputs = {}
+        systems = {}
         for kernel in ("reference", "batched"):
-            system = build_system(replace(config, kernel=kernel), PROFILES["fft"])
-            engine_for(system).run()
+            system, _ = run_system(replace(config, kernel=kernel))
             assert system.sanitizer.violation_count == 0
-            outputs[kernel] = json.dumps(system.stats.to_dict(), sort_keys=True)
-        assert outputs["batched"] == outputs["reference"]
+            systems[kernel] = system
+        assert_same_end_state(systems["batched"], systems["reference"])
 
 
 class TestTraceReplay:
@@ -265,10 +256,7 @@ class TestTraceReplay:
                 engine_for(system).run()
             except StopIteration as exc:
                 error = str(exc)
-            outputs[kernel] = (
-                json.dumps(system.stats.to_dict(), sort_keys=True),
-                error,
-            )
+            outputs[kernel] = (end_state(system), error)
         assert outputs["batched"] == outputs["reference"]
         if not loop:
             assert outputs["batched"][1] is not None  # exhaustion surfaced

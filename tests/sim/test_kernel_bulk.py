@@ -11,12 +11,11 @@ L2-hit store upgrades, mid-phase deadlines for calibrated and suite
 workloads alike, sanitized runs disabling the seam entirely, and the
 bail-out histogram that records why transactions stayed on the
 reference path. All differential assertions are byte-equality of
-``SimStats.to_dict()`` (plus, where named, registry records and
-``on_low`` sequences) — the seam's contract is exactness, not
-approximation.
+``SimStats.to_dict()`` and the ``system.snapshot([])`` end state (plus,
+where named, ``on_low`` sequences) — the seam's contract is exactness,
+not approximation.
 """
 
-import json
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -31,6 +30,11 @@ from repro.sim.kernel import BatchedEngine, engine_for
 from repro.sim.system import build_system
 from repro.workloads.profiles import PROFILES
 from repro.workloads.trace import Initiator
+from tests.sim.differential import (
+    assert_identical,
+    assert_same_end_state,
+    run_system,
+)
 
 # Small caches + a read-heavy zipfian suite: most accesses miss and most
 # misses are seam-eligible, so every downstream assertion exercises the
@@ -57,24 +61,6 @@ BAIL_REASONS = {
     "victim-cross-vm",
     "victim-dirty",
 }
-
-
-def run_system(config: SimConfig, app: str = "fft"):
-    system = build_system(config, PROFILES[app])
-    engine = engine_for(system)
-    engine.run()
-    return system, engine
-
-
-def run_stats(config: SimConfig, app: str = "fft") -> str:
-    system, _ = run_system(config, app)
-    return json.dumps(system.stats.to_dict(), sort_keys=True)
-
-
-def assert_identical(config: SimConfig, app: str = "fft") -> None:
-    reference = run_stats(replace(config, kernel="reference"), app)
-    batched = run_stats(replace(config, kernel="batched"), app)
-    assert batched == reference
 
 
 class TestBulkDifferential:
@@ -122,11 +108,9 @@ class TestBulkDifferential:
             )
         )
 
-    def test_multi_vcpu_deadlines_mid_phase(self, monkeypatch):
+    def test_multi_vcpu_deadlines_mid_phase(self):
         # Multi-vCPU VMs step per access while migration and metrics
-        # deadlines land mid-phase; packed-mirror validation runs at
-        # every phase end.
-        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
+        # deadlines land mid-phase.
         assert_identical(
             SimConfig(
                 num_cores=4,
@@ -143,11 +127,10 @@ class TestBulkDifferential:
             )
         )
 
-    def test_suite_deadlines_mid_phase(self, monkeypatch):
+    def test_suite_deadlines_mid_phase(self):
         # Same deadlines for a pattern suite, whose per-vCPU steppers
         # share no state: migration and metrics deadlines land between
         # its accesses exactly where the reference loop puts them.
-        monkeypatch.setenv("REPRO_KERNEL_VALIDATE", "1")
         assert_identical(
             replace(
                 MISS_HEAVY,
@@ -230,16 +213,15 @@ def assert_identical_residence(config: SimConfig):
     the two kernels and returns both ``run_probed`` tuples, keyed by
     kernel.
     """
-    runs, observed = {}, {}
-    for kernel in ("reference", "batched"):
-        run = runs[kernel] = run_probed(replace(config, kernel=kernel))
-        system, _, low_events, _ = run
-        observed[kernel] = (
-            json.dumps(system.stats.to_dict(), sort_keys=True),
-            system.snapshot([]),
-            [event[:3] for event in low_events],
-        )
-    assert observed["batched"] == observed["reference"]
+    runs = {
+        kernel: run_probed(replace(config, kernel=kernel))
+        for kernel in ("reference", "batched")
+    }
+    assert_same_end_state(runs["batched"][0], runs["reference"][0])
+    low_events = {
+        kernel: [event[:3] for event in run[2]] for kernel, run in runs.items()
+    }
+    assert low_events["batched"] == low_events["reference"]
     return runs
 
 
@@ -394,7 +376,7 @@ class TestInlineHardCases:
 class TestSanitizedBulk:
     def test_sanitizer_disables_seam_and_stays_clean(self):
         config = replace(MISS_HEAVY, sanitize=True, accesses_per_vcpu=2000)
-        outputs = {}
+        systems = {}
         for kernel in ("reference", "batched"):
             system, engine = run_system(replace(config, kernel=kernel))
             assert system.sanitizer.violation_count == 0
@@ -405,8 +387,8 @@ class TestSanitizedBulk:
                 summary = engine.bulk_summary()
                 assert summary["bulk_transacts"] == 0
                 assert summary["bailouts"] == {}
-            outputs[kernel] = json.dumps(system.stats.to_dict(), sort_keys=True)
-        assert outputs["batched"] == outputs["reference"]
+            systems[kernel] = system
+        assert_same_end_state(systems["batched"], systems["reference"])
 
 
 class TestBailHistogram:
@@ -428,8 +410,8 @@ class TestBailHistogram:
         bulk = summary["bulk_transacts"]
         bailed = sum(summary["bailouts"].values())
         assert bulk / (bulk + bailed) >= 0.5
-        batched = json.dumps(system.stats.to_dict(), sort_keys=True)
-        assert batched == run_stats(replace(WRITE_HEAVY, kernel="reference"))
+        reference, _ = run_system(replace(WRITE_HEAVY, kernel="reference"))
+        assert_same_end_state(system, reference)
 
     def test_content_sharing_bails_only_failed_first_attempts(self):
         system, engine = run_system(

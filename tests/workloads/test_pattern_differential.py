@@ -2,13 +2,12 @@
 
 The pattern library's acceptance bar is the same as the batched
 kernel's: for every registered pattern and every named suite, the
-batched kernel's ``SimStats.to_dict()`` equals the reference engine's
-byte-for-byte, the parallel runner equals the serial runner, and a
-sanitized run raises no coherence violations. Hypothesis widens the
-parameter space beyond the hand-picked specs.
+batched kernel's ``SimStats.to_dict()`` and end state equal the
+reference engine's byte-for-byte, the parallel runner equals the serial
+runner, and a sanitized run raises no coherence violations. Hypothesis
+widens the parameter space beyond the hand-picked specs.
 """
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -21,6 +20,7 @@ from repro.sim.kernel import engine_for
 from repro.sim.system import build_system
 from repro.workloads.profiles import PROFILES
 from repro.workloads.suites import SUITE_NAMES
+from tests.sim.differential import assert_identical
 
 BASE = SimConfig(
     num_cores=4,
@@ -45,18 +45,6 @@ ALL_SPECS = [
     "dynamicmix(phases=zipfian(alpha=1.1)@400+sequential@300)",
 ]
 _ids = [spec.partition("(")[0] for spec in ALL_SPECS]
-
-
-def run_stats(config: SimConfig, app: str = "fft") -> str:
-    system = build_system(config, PROFILES[app])
-    engine_for(system).run()
-    return json.dumps(system.stats.to_dict(), sort_keys=True)
-
-
-def assert_identical(config: SimConfig, app: str = "fft") -> None:
-    reference = run_stats(replace(config, kernel="reference"), app)
-    batched = run_stats(replace(config, kernel="batched"), app)
-    assert batched == reference
 
 
 class TestPatternKernelDifferential:
