@@ -480,13 +480,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     store = get_store()
     snapshot_hits_before = store.snapshot_hits if store is not None else 0
     profiler = cProfile.Profile()
-    start = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
+    start = time.perf_counter()
     profiler.enable()
     system, engine, clocks = prepare_task(task)
-    warm_done = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
+    warm_done = time.perf_counter()
     engine.measure(clocks)
     profiler.disable()
-    end = time.perf_counter()  # repro-lint: disable=RPL004; real-time profiling
+    end = time.perf_counter()
     elapsed = end - start
     warm_elapsed = warm_done - start
     measure_elapsed = end - warm_done

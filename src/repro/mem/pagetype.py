@@ -22,9 +22,12 @@ class PageType(Enum):
     RW_SHARED = "rw_shared"
     RO_SHARED = "ro_shared"
 
-    # Members are singletons compared by identity, so the identity hash is
-    # equivalent to Enum's value hash — but resolves in C instead of Python,
-    # which matters for the per-access stats dicts keyed by page type.
+    # Members are singletons compared by identity, so the identity hash
+    # finds the same dict entries as Enum's value hash, but resolves in C
+    # instead of Python, which matters for the per-access stats dicts
+    # keyed by page type. It is an address, so the iteration order of a
+    # set of members changes from process to process even under a fixed
+    # PYTHONHASHSEED: iterate PageType itself, never a set of members.
     __hash__ = object.__hash__
 
     @property

@@ -60,7 +60,8 @@ class MetricsWindow:
             "map_grows": self.map_grows,
             "map_shrinks": self.map_shrinks,
             "removal_cycles": self.removal_cycles,
-            "map_sizes": {str(vm): size for vm, size in self.map_sizes.items()},  # repro-lint: disable=RPL006; int vm ids as decimal strings are stable
+            # Int VM ids as decimal strings: stable JSON keys.
+            "map_sizes": {str(vm): size for vm, size in self.map_sizes.items()},
             "residence_sum": self.residence_sum,
         }
 

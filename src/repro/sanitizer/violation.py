@@ -103,5 +103,5 @@ class SanitizerViolation(AssertionError):
             "plan": repr(self.plan) if self.plan is not None else None,
             "holders": sorted(self.holders) if self.holders is not None else None,
             # details is str-keyed by construction (kwargs of report()).
-            "details": {key: repr(value) for key, value in self.details.items()},  # repro-lint: disable=RPL006
+            "details": {key: repr(value) for key, value in self.details.items()},
         }

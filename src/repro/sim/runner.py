@@ -667,7 +667,7 @@ class _Progress:
         self.enabled = enabled
         self.prefix = f"[campaign:{label}]" if label else "[campaign]"
         self.min_interval = min_interval
-        self.start = time.monotonic()  # repro-lint: disable=RPL004; progress ETA only
+        self.start = time.monotonic()
         self.last_emit = 0.0
         if enabled and resumed:
             print(
@@ -681,7 +681,7 @@ class _Progress:
             self.failed += 1
         if not self.enabled:
             return
-        now = time.monotonic()  # repro-lint: disable=RPL004; progress ETA only
+        now = time.monotonic()
         if self.done < self.total and now - self.last_emit < self.min_interval:
             return
         self.last_emit = now
@@ -711,7 +711,7 @@ def _attempt_cell(task_fn, task, retries):
     ``error`` is the last attempt's traceback text, ``None`` on success.
     Only ``Exception`` is captured, so ``KeyboardInterrupt`` propagates.
     """
-    start = time.perf_counter()  # repro-lint: disable=RPL004; cell runtime metric
+    start = time.perf_counter()
     error = None
     for attempts in range(1, max(retries, 0) + 2):
         consume_diagnostics()  # each attempt starts with none
@@ -720,9 +720,9 @@ def _attempt_cell(task_fn, task, retries):
         except Exception:
             error = traceback.format_exc()
         else:
-            wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+            wall = time.perf_counter() - start
             return stats, None, attempts, wall, consume_diagnostics()
-    wall = time.perf_counter() - start  # repro-lint: disable=RPL004; cell runtime metric
+    wall = time.perf_counter() - start
     return None, error, attempts, wall, None
 
 
@@ -773,10 +773,10 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                 )
                 proc.start()
                 child_conn.close()
-                running[i] = (proc, parent_conn, time.monotonic())  # repro-lint: disable=RPL004; stall watchdog
+                running[i] = (proc, parent_conn, time.monotonic())
             by_conn = {conn: i for i, (_, conn, _) in running.items()}
             ready = connection.wait(list(by_conn), timeout=0.25)
-            now = time.monotonic()  # repro-lint: disable=RPL004; stall watchdog
+            now = time.monotonic()
             for conn in ready:
                 i = by_conn[conn]
                 proc, _, started = running.pop(i)

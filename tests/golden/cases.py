@@ -2,9 +2,11 @@
 
 Each case is one :class:`SimTask` small enough to simulate in well under
 a second yet rich enough to exercise a distinct slice of the simulator:
-one case per snoop policy, one with Section VI content sharing enabled,
-and one migration-heavy counter run that drains residence counters and
-shrinks vCPU maps.
+one case per snoop policy, one with Section VI content sharing enabled
+and its twin with hypervisor and dom0 activity (the Figure 1 regime),
+one migration-heavy counter run that drains residence counters and
+shrinks vCPU maps, and the RegionScout, topology and pattern-library
+cases.
 
 **These configs are frozen.** Changing a field silently changes every
 downstream number, so the byte-exact comparison in ``test_golden.py``
@@ -52,6 +54,18 @@ GOLDEN_CASES = {
             snoop_policy=SnoopPolicy.VSNOOP_BASE,
             content_policy=ContentPolicy.INTRA_VM,
             content_sharing_enabled=True,
+        ),
+        "blackscholes",
+    ),
+    # The same cell with hypervisor and dom0 streams on (the Figure 1
+    # regime): the only case that draws the generator's _HYP/_DOM0
+    # branches, which both kernels share.
+    "hypervisor-blackscholes": SimTask(
+        _case(
+            snoop_policy=SnoopPolicy.VSNOOP_BASE,
+            content_policy=ContentPolicy.INTRA_VM,
+            content_sharing_enabled=True,
+            hypervisor_activity_enabled=True,
         ),
         "blackscholes",
     ),

@@ -1,4 +1,4 @@
-"""Golden-run regression suite: byte-exact stats for six frozen configs.
+"""Golden-run regression suite: byte-exact stats for every frozen config.
 
 Every case in :mod:`tests.golden.cases` is simulated and its
 ``SimStats.to_dict()`` JSON compared **byte for byte** against the
