@@ -26,21 +26,34 @@ private or RW-shared miss, an RO-shared content read (provider scan and
 Table VI bookkeeping included), a contended GETM with its invalidations,
 or an L1/L2-hit store upgrade — whatever its replacement victim (dirty,
 another VM's, or an untracked hypervisor/dom0 line). The seam replays
-the reference path's counter updates and state mutations in their exact
-order; only a failed first attempt (a retry ladder) or an RO-shared
-write still bails to ``_transact``. A per-reason bail-out histogram
+the reference path's state mutations in their exact order; only a
+failed first attempt (a retry ladder) or an RO-shared write still bails
+to ``_transact``. A per-reason bail-out histogram
 (``BatchedEngine.bail_reasons``) records why transactions stayed on the
 reference path; it lives on the engine, never on ``SimStats``, which
 stays byte-identical across kernels by contract.
 
-Stats-ordering invariant: the loop updates every counter in exactly the
-order the reference loop does; the only rewrites are call-free
-spellings of identical operations (``in`` + subscript for ``dict.get``,
-``del d[k]; d[k] = v`` for the LRU touch, ``state.sharers == {core}``
-for the len/in pair, hoisted geometry constants and per-core set lists,
-the phase budget carried inside the heap tuples, and
-``heapreplace``/local-min scheduling that provably pops the same
-(time, seq) sequence as push-then-pop).
+Stats-ordering invariant: whenever a counter can be read (a metrics
+sample, the end of a phase), it holds exactly the value the reference
+loop gives it. The loop updates counters in the reference order; the
+only rewrites are call-free spellings of identical operations (``in`` +
+subscript for ``dict.get``, ``del d[k]; d[k] = v`` for the LRU touch,
+``state.sharers == {core}`` for the len/in pair, hoisted geometry
+constants and per-core set lists, the phase budget carried inside the
+heap tuples, and ``heapreplace``/local-min scheduling that provably
+pops the same (time, seq) sequence as push-then-pop). One deliberate
+exception: the bulk-miss seam defers its per-transaction counters
+(transactions and snoops, by initiator and page type, and the GETS and
+GETM counts) to per-transaction-class tallies. It adds them to the
+stats before each metrics sample, before its plan memo is dropped and
+when the phase ends, even by an exception. Nothing reads them in
+between: the sanitizer and the tracer, which read counters mid-phase,
+turn the seam off.
+
+Allocation: the seam's retired L2 victim and L1 lines, the L1 line an
+L2-hit promote evicts, and registry records the seam retires are reused
+for the blocks that replace them, after every field still needed from
+the old block has been read.
 """
 
 from __future__ import annotations
@@ -51,6 +64,7 @@ from typing import Dict, List, Tuple
 
 from repro.cache.line import CacheLine
 from repro.coherence.registry import GLOBAL_PROVIDER, MEMORY, BlockState
+from repro.core.filter import VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
 from repro.hypervisor.vm import DOM0_VM_ID
 from repro.interconnect.messages import MessageKind
@@ -179,21 +193,54 @@ class BatchedEngine(SimulationEngine):
         # contended GETMs with their invalidations, and store upgrades
         # (``l2_set is None``: the same GETM commit without the fill).
         # Any victim (dirty, another VM's, untracked) is retired inline.
-        # The seam performs the reference path's counter updates and
-        # state mutations in their exact order (it calls the same
-        # window, hop, invalidate and residence-hook primitives, so
-        # window rollovers, traffic charges and removals land
-        # identically). A failed first attempt (a retry ladder) or an
-        # RO-shared write returns -1, and the caller falls back to the
-        # reference _transact. Gated off whenever an observer
-        # (sanitizer, tracer, outcome observer) is attached: those are
-        # wired through the seams the bulk path skips.
+        # The seam performs the reference path's state mutations in
+        # their exact order (it calls the same window, invalidate and
+        # residence-hook primitives, so window rollovers, removals and
+        # LRU orders land identically). A failed first attempt (a retry
+        # ladder) or an RO-shared write returns -1, and the caller falls
+        # back to the reference _transact.
+        #
+        # What a commit does not repeat:
+        # - the plan. Transaction classes (core, vm_id, page_type,
+        #   initiator) are memoised per phase with their plan, its
+        #   attempt-0 destinations and the REQUEST multicast's hop
+        #   aggregate, and dropped when the domain table's version moves;
+        # - the per-transaction counters (transactions and snoops, by
+        #   initiator and page type, gets/getm counts, bulk_transacts).
+        #   They are tallied per class and added to the stats by
+        #   ``flush``: before the memo is dropped, before every metrics
+        #   sample and when the phase ends, even by an exception. Only
+        #   final values and sampled windows can observe them (the
+        #   sanitizer and tracer, which read them mid-phase, gate the
+        #   seam off), and sums do not depend on the order of addition;
+        # - allocations. The L2 victim becomes the new L2 line (after
+        #   its dirty bit is read), an L1 line that leaves its set
+        #   becomes the new L1 line, and a retired registry record is
+        #   pooled and reset before it serves another block. No retired
+        #   object is referenced from anywhere else, and every dict
+        #   insertion (so every LRU and registry order) is unchanged.
+        #
+        # Gated off whenever an observer (sanitizer, tracer, outcome
+        # observer) is attached: those are wired through the seams the
+        # bulk path skips. The gate also asks for a VirtualSnoopFilter
+        # (RegionScout defines observe_outcome, so it never gets here):
+        # its plans depend only on (core, vm_id, page_type) and the
+        # domain table's version, since set_friend is only called by
+        # build_system. And every L2 observer must be a bare
+        # ResidenceTracker, whose bookkeeping the seam inlines; only
+        # the sanitizer installs a CompositeObserver, and RegionScout's
+        # RegionTracker comes with observe_outcome.
         bulk = None
+        flush = None
         bail = self.bail_reasons
+        snoop_filter = self.system.snoop_filter
+        trackers = [h.l2.observer for h in hierarchies]
         if (
             self._sanitizer is None
             and self._tracer is None
             and self._observe_outcome is None
+            and type(snoop_filter) is VirtualSnoopFilter
+            and all(type(t) is ResidenceTracker for t in trackers)
         ):
             protocol = self.system.protocol
             cstats = protocol.stats
@@ -213,14 +260,13 @@ class BatchedEngine(SimulationEngine):
             ack_flits = network._flits[MessageKind.ACK]
             wb_flits = network._flits[MessageKind.WRITEBACK]
             tr_flits = network._flits[MessageKind.TOKEN_RETURN]
-            mc_cache = network._mc_cache
-            mc_cache_max = network._mc_cache_max
             aggregate_hops = network._aggregate_hops
             snoop_lookup = protocol.snoop_lookup_latency
             memory = protocol.memory
             mem_node = memory.node
             mem_latency = memory.latency
             plan_fn = self._plan
+            domains = snoop_filter.domains
             memory_holder = MEMORY
             global_provider = GLOBAL_PROVIDER
             block_state = BlockState
@@ -228,24 +274,46 @@ class BatchedEngine(SimulationEngine):
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             # Read once per phase: observers are attached before a run.
-            l2_observers = [h.l2.observer for h in hierarchies]
-            # Residence trackers inline too; any other observer shape
-            # falls back to the generic on_evict/on_insert calls.
+            # One loop, not three comprehensions: the comprehension form
+            # measured ~8% slower on the whole loop (bench pinned-hits,
+            # paired runs), for no reason found in the per-access code.
             res_counts = []
             res_on_low = []
             res_thresholds = []
-            res_trackers = []
-            for ob in l2_observers:
-                if type(ob) is ResidenceTracker:
-                    res_trackers.append(ob)
-                    res_counts.append(ob._counts)
-                    res_on_low.append(ob.on_low)
-                    res_thresholds.append(ob.threshold)
-                else:
-                    res_trackers.append(None)
-                    res_counts.append(None)
-                    res_on_low.append(None)
-                    res_thresholds.append(0)
+            for tracker in trackers:
+                res_counts.append(tracker._counts)
+                res_on_low.append(tracker.on_low)
+                res_thresholds.append(tracker.threshold)
+            # (core, vm_id, page_type, initiator) -> [plan, attempt-0
+            # frozenset, multicast count, total hops, worst hops, snoops
+            # per transaction, GETS tally, GETM tally].
+            memo: Dict[tuple, list] = {}
+            memo_version = domains.version
+            # Registry records retired by the seam, reused before any
+            # new BlockState is built.
+            records: List[BlockState] = []
+            # The contention term, recomputed when utilisation moves.
+            last_u = None
+            contention = 0
+
+            def flush():
+                transacts = 0
+                for (_, _, page_type, initiator), entry in memo.items():
+                    gets = entry[6]
+                    getms = entry[7]
+                    count = gets + getms
+                    if count:
+                        snoops = entry[5] * count
+                        tx_by_initiator[initiator] += count
+                        cstats.transactions += count
+                        tx_by_page_type[page_type] += count
+                        cstats.gets_count += gets
+                        cstats.getm_count += getms
+                        cstats.snoops += snoops
+                        snoops_by_page_type[page_type] += snoops
+                        entry[6] = entry[7] = 0
+                        transacts += count
+                self.bulk_transacts += transacts
 
             def bulk(
                 core,
@@ -259,13 +327,34 @@ class BatchedEngine(SimulationEngine):
                 l2_set,
                 cycle,
             ):
+                nonlocal memo_version, last_u, contention
                 # ---- eligibility (pure: no counters, no mutation) ----
                 ro_read = page_type is ro_shared
                 if ro_read and is_write:
                     bail["page-type"] = bail.get("page-type", 0) + 1
                     return -1
-                plan = plan_fn(core, vm_id, page_type, block)
-                destinations = plan.attempts[0]
+                if domains.version != memo_version:
+                    flush()
+                    memo.clear()
+                    memo_version = domains.version
+                key = (core, vm_id, page_type, initiator)
+                entry = memo.get(key)
+                if entry is None:
+                    plan = plan_fn(core, vm_id, page_type, block)
+                    attempt = plan.attempts[0]
+                    destinations = as_frozenset(attempt)
+                    entry = memo[key] = [
+                        plan,
+                        destinations,
+                        *aggregate_hops(core, destinations),
+                        len(attempt),
+                        0,
+                        0,
+                    ]
+                (
+                    plan, destinations, mc_count, mc_total_hops, worst_hops,
+                    _, _, _,
+                ) = entry
                 state = reg_blocks.get(block)
                 owner = state.owner if state is not None else memory_holder
                 if is_write:
@@ -305,21 +394,19 @@ class BatchedEngine(SimulationEngine):
                 # reference path's network.multicast and network.send
                 # calls (the memory read's REQUEST and DATA sends
                 # included) sees the same contention_delay(). The
-                # contention term is one hoisted constant, and the
                 # traffic counters are flushed in one batch at the end
                 # (nothing reads them mid-transaction: the sanitizer is
                 # gated off and metrics sample between accesses).
                 if cycle - network._window_start >= window_cycles:
                     advance_window(cycle)
                 u = network._last_utilisation
-                contention = int(contention_scale * u / (1.0 - u))
-                tx_by_initiator[initiator] += 1
-                cstats.transactions += 1
-                tx_by_page_type[page_type] += 1
+                if u != last_u:
+                    last_u = u
+                    contention = int(contention_scale * u / (1.0 - u))
                 if is_write:
-                    cstats.getm_count += 1
+                    entry[7] += 1
                 else:
-                    cstats.gets_count += 1
+                    entry[6] += 1
                     if ro_read:
                         # Inlined _record_ro_holders (Table VI).
                         cstats.ro_misses += 1
@@ -341,19 +428,23 @@ class BatchedEngine(SimulationEngine):
                                     if sharer != core and sharer in friend:
                                         cstats.ro_holder_friend_vm += 1
                                         break
-                snoops = len(destinations)
-                cstats.snoops += snoops
-                snoops_by_page_type[page_type] += snoops
+                # A block the registry has never seen gets its record
+                # now; no registry insertion lies between here and the
+                # reference path's grant, and a fresh record reads like
+                # an absent one to every test below.
+                if state is None:
+                    if records:
+                        # Back to BlockState() defaults (sharers is
+                        # empty by the retire test). clear() also frees
+                        # the table a deleted provider leaves behind.
+                        state = records.pop()
+                        state.owner = memory_holder
+                        state.dirty = False
+                        state.providers.clear()
+                    else:
+                        state = block_state()
+                    reg_blocks[block] = state
                 # Request multicast (inlined network.multicast).
-                if type(destinations) is not as_frozenset:
-                    destinations = as_frozenset(destinations)
-                key = (core, destinations)
-                agg = mc_cache.get(key)
-                if agg is None:
-                    if len(mc_cache) >= mc_cache_max:
-                        mc_cache.clear()
-                    agg = mc_cache[key] = aggregate_hops(core, destinations)
-                mc_count, mc_total_hops, worst_hops = agg
                 msgs = mc_count
                 fh = req_flits * mc_total_hops if mc_count else 0
                 attempt_latency = (
@@ -367,8 +458,6 @@ class BatchedEngine(SimulationEngine):
                 if is_write:
                     # grant_exclusive (it precedes the data leg in
                     # _try_getm); invalidations follow the data leg.
-                    if state is None:
-                        state = reg_blocks[block] = block_state()
                     sharers = state.sharers
                     had_copy = core in sharers
                     if sharers and not (len(sharers) == 1 and had_copy):
@@ -380,7 +469,7 @@ class BatchedEngine(SimulationEngine):
                     if had_copy:
                         cstats.upgrades += 1
                         completion = 0
-                elif ro_read and state is not None:
+                elif ro_read:
                     # _try_ro_gets: every reachable provider responds
                     # with its own DATA leg (a friend-VM read reached by
                     # both the own-VM and the friend-VM provider pays
@@ -446,8 +535,6 @@ class BatchedEngine(SimulationEngine):
                 # ---- registry grant (reads) / invalidations (GETM) ----
                 if ro_read:
                     # grant_shared(vm_id=...): both setdefaults, in order.
-                    if state is None:
-                        state = reg_blocks[block] = block_state()
                     state.sharers.add(core)
                     providers = state.providers
                     providers.setdefault(vm_id, core)
@@ -474,10 +561,6 @@ class BatchedEngine(SimulationEngine):
                             completion = leg
                 elif owner != memory_holder:
                     state.sharers.add(core)
-                elif state is None:
-                    state = reg_blocks[block] = block_state()
-                    state.sharers = {core}
-                    state.owner = core
                 elif not state.sharers:
                     # MOESI E state (grant_exclusive, dirty=False).
                     state.sharers = {core}
@@ -491,21 +574,19 @@ class BatchedEngine(SimulationEngine):
                 # exactly for GETM, where is_write is True already) ----
                 victim = None
                 if l2_set is not None:
-                    counts = res_counts[core]
-                    observer = l2_observers[core]
+                    l1_line = None
                     if len(l2_set) >= l2_ways:
                         victim = l2_set.pop(next(iter(l2_set)))
                         victim_block = victim.block
                         victim_vm = victim.vm_id
-                        if counts is None:
-                            if observer is not None:
-                                observer.on_evict(victim)
-                        elif victim_vm != untracked:
+                        victim_dirty = victim.dirty
+                        if victim_vm != untracked:
                             # Inlined ResidenceTracker.on_evict.
+                            counts = res_counts[core]
                             current = counts.get(victim_vm, 0) - 1
                             if current < 0:
                                 # Canonical underflow diagnostics.
-                                res_trackers[core].on_evict(victim)
+                                trackers[core].on_evict(victim)
                             elif current == 0:
                                 del counts[victim_vm]
                             else:
@@ -514,20 +595,28 @@ class BatchedEngine(SimulationEngine):
                                 on_low = res_on_low[core]
                                 if on_low is not None:
                                     on_low(core, victim_vm, current)
-                    line = cache_line(block, vm_tag, is_write)
-                    l2_set[block] = line
-                    if counts is not None:
-                        if vm_tag != untracked:
-                            counts[vm_tag] = counts.get(vm_tag, 0) + 1
-                    elif observer is not None:
-                        observer.on_insert(line)
-                    if victim is not None:
-                        l1_sets_by_core[core][victim_block & l1_mask].pop(
-                            victim_block, None
-                        )
+                        victim.block = block
+                        victim.vm_id = vm_tag
+                        victim.dirty = is_write
+                        l2_set[block] = victim
+                        # Inclusion: the victim's L1 copy goes too.
+                        l1_line = l1_sets_by_core[core][
+                            victim_block & l1_mask
+                        ].pop(victim_block, None)
+                    else:
+                        l2_set[block] = cache_line(block, vm_tag, is_write)
+                    if vm_tag != untracked:
+                        counts = res_counts[core]
+                        counts[vm_tag] = counts.get(vm_tag, 0) + 1
                     if len(l1_set) >= l1_ways:
-                        del l1_set[next(iter(l1_set))]
-                    l1_set[block] = cache_line(block, vm_tag, is_write)
+                        l1_line = l1_set.pop(next(iter(l1_set)))
+                    if l1_line is None:
+                        l1_line = cache_line(block, vm_tag, is_write)
+                    else:
+                        l1_line.block = block
+                        l1_line.vm_id = vm_tag
+                        l1_line.dirty = is_write
+                    l1_set[block] = l1_line
                 if victim is not None:
                     # Inlined registry.evicted + handle_eviction: tokens
                     # (and dirty data) travel back to memory. The send's
@@ -543,7 +632,7 @@ class BatchedEngine(SimulationEngine):
                                     del vstate.providers[pvm]
                         if vstate.owner == core:
                             vstate.owner = memory_holder
-                            if vstate.dirty or victim.dirty:
+                            if vstate.dirty or victim_dirty:
                                 vstate.dirty = False
                                 memory.writebacks += 1
                                 if core != mem_node:
@@ -559,15 +648,19 @@ class BatchedEngine(SimulationEngine):
                             if core != mem_node:
                                 msgs += 1
                                 fh += tr_flits * hops_tbl[core][mem_node]
-                        if not vsharers:
-                            if vstate.owner == memory_holder and not vstate.providers:
-                                del reg_blocks[victim_block]
+                        if (
+                            not vsharers
+                            and vstate.owner == memory_holder
+                            and not vstate.providers
+                        ):
+                            del reg_blocks[victim_block]
+                            if len(records) < 64:
+                                records.append(vstate)
                 if msgs:
                     network.messages += msgs
                     network.flit_hops += fh
                     network.bytes_transferred += fh * link_bytes
                     network._window_flit_hops += fh
-                self.bulk_transacts += 1
                 return (
                     attempt_latency
                     if attempt_latency >= completion
@@ -580,116 +673,86 @@ class BatchedEngine(SimulationEngine):
             item = heappop(heap)
         else:
             item = None
-        while item is not None:
-            local_time, _, index, count = item
-            if local_time >= boundary:
-                if local_time >= next_sample:
-                    clock.now = local_time
-                    next_sample = metrics.sample(local_time)
-                if migrate and local_time >= next_migration:
-                    clock.now = local_time
-                    self._maybe_migrate()
-                    next_migration = self._next_migration
-                    cores = [v.core for v in vcpus]
-                boundary = (
-                    next_sample
-                    if next_sample < next_migration
-                    else next_migration
-                )
-            # ---- generation ------------------------------------------
-            initiator, guest_page, block_index, is_write = steppers[index]()
-            # ---- translation (reference order, call-free memo) -------
-            vm_id = vm_ids[index]
-            if initiator is guest_initiator:
-                vm_tag = vm_id
-                vm_memo = vm_memos[index]
-                if guest_page in vm_memo:
-                    host_page, page_type = vm_memo[guest_page]
-                    if is_write and page_type is ro_shared:
+        try:
+            while item is not None:
+                local_time, _, index, count = item
+                if local_time >= boundary:
+                    if local_time >= next_sample:
                         clock.now = local_time
-                        host_page, page_type = write_to_page(
-                            vm_id, guest_page
-                        )
-                else:
-                    clock.now = local_time
-                    if is_write:
-                        entry = write_to_page(vm_id, guest_page)
-                    else:
-                        entry = mem_translate(vm_id, guest_page)
-                    vm_memo[guest_page] = entry
-                    host_page, page_type = entry
-            else:
-                vm_tag = untracked
-                if initiator is hyp_initiator:
-                    if guest_page in hyp_memo:
-                        host_page, page_type = hyp_memo[guest_page]
-                    else:
+                        if flush is not None:
+                            flush()
+                        next_sample = metrics.sample(local_time)
+                    if migrate and local_time >= next_migration:
                         clock.now = local_time
-                        host_page, page_type = rw_shared_translate(
-                            HYPERVISOR_SPACE, guest_page
-                        )
-                else:
-                    if guest_page in dom0_memo:
-                        host_page, page_type = dom0_memo[guest_page]
-                    else:
-                        clock.now = local_time
-                        host_page, page_type = rw_shared_translate(
-                            DOM0_VM_ID, guest_page
-                        )
-            block = (host_page << page_shift) | block_index
-            core = cores[index]
-
-            l1_by_page_type[page_type] += 1
-
-            # ---- cache probe (reference order, call-free LRU) ----
-            l1_set = l1_sets_by_core[core][block & l1_mask]
-            if block in l1_set:
-                l1_line = l1_set[block]
-                del l1_set[block]
-                l1_set[block] = l1_line
-                hierarchies[core].l1_hits += 1
-                latency = l1_latency
-                if is_write:
-                    l1_line.dirty = True
-                    l2_sets_by_core[core][block & l2_mask][block].dirty = True
-                    # A silent store needs this core to be the block's
-                    # sole owner; anything else is a GETM upgrade.
-                    state = reg_blocks[block] if block in reg_blocks else None
-                    if (
-                        state is not None
-                        and state.owner == core
-                        and state.sharers == {core}
-                    ):
-                        state.dirty = True
-                    else:
-                        clock.now = local_time
-                        extra = -1
-                        if bulk is not None:
-                            extra = bulk(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, None, None, local_time,
+                        self._maybe_migrate()
+                        next_migration = self._next_migration
+                        cores = [v.core for v in vcpus]
+                    boundary = (
+                        next_sample
+                        if next_sample < next_migration
+                        else next_migration
+                    )
+                # ---- generation --------------------------------------
+                (
+                    initiator, guest_page, block_index, is_write
+                ) = steppers[index]()
+                # ---- translation (reference order, call-free memo) ---
+                vm_id = vm_ids[index]
+                if initiator is guest_initiator:
+                    vm_tag = vm_id
+                    vm_memo = vm_memos[index]
+                    if guest_page in vm_memo:
+                        host_page, page_type = vm_memo[guest_page]
+                        if is_write and page_type is ro_shared:
+                            clock.now = local_time
+                            host_page, page_type = write_to_page(
+                                vm_id, guest_page
                             )
-                        if extra < 0:
-                            extra = transact(
-                                core, vm_id, block, True, page_type,
-                                initiator, vm_tag, hierarchies[core], True,
+                    else:
+                        clock.now = local_time
+                        if is_write:
+                            entry = write_to_page(vm_id, guest_page)
+                        else:
+                            entry = mem_translate(vm_id, guest_page)
+                        vm_memo[guest_page] = entry
+                        host_page, page_type = entry
+                else:
+                    vm_tag = untracked
+                    if initiator is hyp_initiator:
+                        if guest_page in hyp_memo:
+                            host_page, page_type = hyp_memo[guest_page]
+                        else:
+                            clock.now = local_time
+                            host_page, page_type = rw_shared_translate(
+                                HYPERVISOR_SPACE, guest_page
                             )
-                        latency += extra
-            else:
-                l2_set = l2_sets_by_core[core][block & l2_mask]
-                if block in l2_set:
-                    l2_line = l2_set[block]
-                    del l2_set[block]
-                    l2_set[block] = l2_line
-                    hierarchy = hierarchies[core]
-                    hierarchy.l2_hits += 1
+                    else:
+                        if guest_page in dom0_memo:
+                            host_page, page_type = dom0_memo[guest_page]
+                        else:
+                            clock.now = local_time
+                            host_page, page_type = rw_shared_translate(
+                                DOM0_VM_ID, guest_page
+                            )
+                block = (host_page << page_shift) | block_index
+                core = cores[index]
+
+                l1_by_page_type[page_type] += 1
+
+                # ---- cache probe (reference order, call-free LRU) ----
+                l1_set = l1_sets_by_core[core][block & l1_mask]
+                if block in l1_set:
+                    l1_line = l1_set[block]
+                    del l1_set[block]
+                    l1_set[block] = l1_line
+                    hierarchies[core].l1_hits += 1
+                    latency = l1_latency
                     if is_write:
+                        l1_line.dirty = True
+                        l2_line = l2_sets_by_core[core][block & l2_mask][block]
                         l2_line.dirty = True
-                    if len(l1_set) >= l1_ways:
-                        del l1_set[next(iter(l1_set))]
-                    l1_set[block] = CacheLine(block, vm_tag, is_write)
-                    latency = l12_latency
-                    if is_write:
+                        # A silent store needs this core to be the block's
+                        # sole owner; anything else is a GETM upgrade.
                         state = (
                             reg_blocks[block] if block in reg_blocks else None
                         )
@@ -705,53 +768,104 @@ class BatchedEngine(SimulationEngine):
                             if bulk is not None:
                                 extra = bulk(
                                     core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, None, None,
-                                    local_time,
+                                    initiator, vm_tag, None, None, local_time,
                                 )
                             if extra < 0:
                                 extra = transact(
                                     core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, hierarchy, True,
+                                    initiator, vm_tag, hierarchies[core], True,
                                 )
                             latency += extra
                 else:
-                    hierarchy = hierarchies[core]
-                    hierarchy.misses += 1
-                    clock.now = local_time
-                    if bulk is not None:
-                        extra = bulk(
-                            core, vm_id, block, is_write, page_type,
-                            initiator, vm_tag, l1_set, l2_set,
-                            local_time,
-                        )
-                        if extra < 0:
-                            extra = transact(
+                    l2_set = l2_sets_by_core[core][block & l2_mask]
+                    if block in l2_set:
+                        l2_line = l2_set[block]
+                        del l2_set[block]
+                        l2_set[block] = l2_line
+                        hierarchy = hierarchies[core]
+                        hierarchy.l2_hits += 1
+                        if is_write:
+                            l2_line.dirty = True
+                        if len(l1_set) >= l1_ways:
+                            # The line evicted for room becomes the new one.
+                            l1_line = l1_set.pop(next(iter(l1_set)))
+                            l1_line.block = block
+                            l1_line.vm_id = vm_tag
+                            l1_line.dirty = is_write
+                            l1_set[block] = l1_line
+                        else:
+                            l1_set[block] = CacheLine(block, vm_tag, is_write)
+                        latency = l12_latency
+                        if is_write:
+                            state = (
+                                reg_blocks[block]
+                                if block in reg_blocks
+                                else None
+                            )
+                            if (
+                                state is not None
+                                and state.owner == core
+                                and state.sharers == {core}
+                            ):
+                                state.dirty = True
+                            else:
+                                clock.now = local_time
+                                extra = -1
+                                if bulk is not None:
+                                    extra = bulk(
+                                        core, vm_id, block, True, page_type,
+                                        initiator, vm_tag, None, None,
+                                        local_time,
+                                    )
+                                if extra < 0:
+                                    extra = transact(
+                                        core, vm_id, block, True, page_type,
+                                        initiator, vm_tag, hierarchy, True,
+                                    )
+                                latency += extra
+                    else:
+                        hierarchy = hierarchies[core]
+                        hierarchy.misses += 1
+                        clock.now = local_time
+                        if bulk is not None:
+                            extra = bulk(
+                                core, vm_id, block, is_write, page_type,
+                                initiator, vm_tag, l1_set, l2_set,
+                                local_time,
+                            )
+                            if extra < 0:
+                                extra = transact(
+                                    core, vm_id, block, is_write, page_type,
+                                    initiator, vm_tag, hierarchy, False,
+                                )
+                            latency = l12_latency + extra
+                        else:
+                            latency = l12_latency + transact(
                                 core, vm_id, block, is_write, page_type,
                                 initiator, vm_tag, hierarchy, False,
                             )
-                        latency = l12_latency + extra
-                    else:
-                        latency = l12_latency + transact(
-                            core, vm_id, block, is_write, page_type,
-                            initiator, vm_tag, hierarchy, False,
-                        )
 
-            # ---- schedule (provably the reference pop order) -----
-            next_time = local_time + think + latency
-            count -= 1
-            if count > 0:
-                sequence += 1
-                # push-then-pop == (pop current min, insert new) ==
-                # (new itself when it is <= the heap minimum). Keys
-                # are unique, so `<` fully orders them.
-                fresh = (next_time, sequence, index, count)
-                if heap and heap[0] < fresh:
-                    item = heapreplace(heap, fresh)
+                # ---- schedule (provably the reference pop order) -----
+                next_time = local_time + think + latency
+                count -= 1
+                if count > 0:
+                    sequence += 1
+                    # push-then-pop == (pop current min, insert new) ==
+                    # (new itself when it is <= the heap minimum). Keys
+                    # are unique, so `<` fully orders them.
+                    fresh = (next_time, sequence, index, count)
+                    if heap and heap[0] < fresh:
+                        item = heapreplace(heap, fresh)
+                    else:
+                        item = fresh
                 else:
-                    item = fresh
-            else:
-                final[index] = next_time
-                item = heappop(heap) if heap else None
+                    final[index] = next_time
+                    item = heappop(heap) if heap else None
+        finally:
+            # The seam's deferred counters reach the stats even when the
+            # phase ends by an exception (an exhausted trace).
+            if flush is not None:
+                flush()
         clock.now = local_time
         stats.l1_accesses += budget * len(vcpus)
         self._next_sample = next_sample

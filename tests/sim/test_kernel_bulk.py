@@ -8,8 +8,10 @@ and untracked victims retired inline, RW-shared hypervisor/dom0
 misses, RO-shared content reads under every content policy, contended
 GETMs whose invalidations fire residence-counter removals, L1- and
 L2-hit store upgrades, mid-phase deadlines for calibrated and suite
-workloads alike, sanitized runs disabling the seam entirely, and the
-bail-out histogram that records why transactions stayed on the
+workloads alike, sanitized runs and any L2 observer other than a bare
+residence tracker disabling the seam entirely, cache lines and
+registry records the seam reuses ending up in exactly one place, and
+the bail-out histogram that records why transactions stayed on the
 reference path. All differential assertions are byte-equality of
 ``SimStats.to_dict()`` and the ``system.snapshot([])`` end state (plus,
 where named, ``on_low`` sequences) — the seam's contract is exactness,
@@ -22,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.cache.setassoc import CompositeObserver
 from repro.coherence.registry import GLOBAL_PROVIDER
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.mem.pagetype import PageType
@@ -389,6 +392,64 @@ class TestSanitizedBulk:
                 assert summary["bailouts"] == {}
             systems[kernel] = system
         assert_same_end_state(systems["batched"], systems["reference"])
+
+
+class TestSeamGate:
+    def test_non_tracker_l2_observer_disables_seam(self):
+        # The seam inlines ResidenceTracker bookkeeping only. Any other
+        # L2 observer, even one forwarding to the tracker, must send
+        # every transaction through the reference path it observes.
+        config = replace(MISS_HEAVY, accesses_per_vcpu=2000)
+        system = build_system(replace(config, kernel="batched"), PROFILES["fft"])
+        l2 = system.caches[0].l2
+        l2.observer = CompositeObserver(l2.observer)
+        engine = engine_for(system)
+        engine.run()
+        assert engine.bulk_summary()["bulk_transacts"] == 0
+        reference, _ = run_system(replace(config, kernel="reference"))
+        assert_same_end_state(system, reference)
+
+
+def assert_no_shared_objects(system) -> None:
+    """Every cache line and registry record has exactly one home.
+
+    The seam reuses retired lines and records instead of allocating; a
+    reused object that stayed reachable from its old slot would show up
+    here as one object in two places.
+    """
+    homes = {}
+    for core, hierarchy in system.caches.items():
+        for level, sets in (("l1", hierarchy._l1_sets), ("l2", hierarchy._l2_sets)):
+            for index, lines in enumerate(sets):
+                for block, line in lines.items():
+                    assert line.block == block, (core, level, index, line)
+                    home = (core, level, index, block)
+                    assert id(line) not in homes, (homes[id(line)], home)
+                    homes[id(line)] = home
+    records = {}
+    for block, state in system.registry._blocks.items():
+        assert id(state) not in records, (records[id(state)], block)
+        records[id(state)] = block
+
+
+class TestObjectReuse:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            replace(WRITE_HEAVY, content_sharing_enabled=True),
+            SimConfig.migration_study(
+                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+                migration_period_ms=0.1,
+                accesses_per_vcpu=5000,
+                warmup_accesses_per_vcpu=2000,
+            ),
+        ],
+        ids=["write-heavy-content", "migration-counter-threshold"],
+    )
+    def test_reused_lines_and_records_have_one_home(self, config):
+        system, engine = run_system(replace(config, kernel="batched"))
+        assert engine.bulk_summary()["bulk_transacts"] > 0
+        assert_no_shared_objects(system)
 
 
 class TestBailHistogram:
