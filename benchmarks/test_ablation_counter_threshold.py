@@ -13,8 +13,8 @@ import pytest
 from conftest import emit
 from repro.analysis import render_table
 from repro.core.filter import SnoopPolicy
-from repro.experiments.common import fast_mode, normalized_snoops_percent, run_app, scaled
-from repro.sim import SimConfig
+from repro.experiments.common import fast_mode, normalized_snoops_percent, scaled
+from repro.sim import SimConfig, SimTask, run_simulation_task
 
 THRESHOLDS = (1, 5, 10, 25, 50)
 APP = "fft"
@@ -30,7 +30,7 @@ def sweep():
             counter_threshold=threshold,
             accesses_per_vcpu=scaled(40_000),
         )
-        stats = run_app(config, APP)
+        stats = run_simulation_task(SimTask(config, APP))
         rows[threshold] = {
             "snoops_norm_pct": normalized_snoops_percent(stats, config.num_cores),
             "retries": stats.coherence.retries,

@@ -464,39 +464,25 @@ def cmd_profile(args: argparse.Namespace) -> int:
     The run is split at the measurement boundary so the report shows
     where the wall-clock actually goes: the warm-up phase (or the
     warm-state snapshot restore that replaced it) versus the measured
-    phase, plus the result store's traffic for the process.
+    phase, plus the result store's traffic. Every number after the
+    hotspot table comes from the cell's own report.
     """
     import cProfile
     import io
     import pstats
-    import time
 
     from repro.sim import SimTask
-    from repro.sim.runner import prepare_task
-    from repro.store import get_store
+    from repro.sim.runner import run_cell
 
     config = _config_from_args(args)
-    task = SimTask(config, args.app)
-    store = get_store()
-    snapshot_hits_before = store.snapshot_hits if store is not None else 0
     profiler = cProfile.Profile()
-    start = time.perf_counter()
     profiler.enable()
-    system, engine, clocks = prepare_task(task)
-    warm_done = time.perf_counter()
-    engine.measure(clocks)
+    stats, report = run_cell(SimTask(config, args.app))
     profiler.disable()
-    end = time.perf_counter()
-    elapsed = end - start
-    warm_elapsed = warm_done - start
-    measure_elapsed = end - warm_done
-    restored = (
-        store is not None and store.snapshot_hits > snapshot_hits_before
-    )
     stream = io.StringIO()
     pstats.Stats(profiler, stream=stream).sort_stats(args.sort).print_stats(args.top)
     print(stream.getvalue().rstrip())
-    stats = system.stats
+    elapsed = report.warm_seconds + report.measure_seconds
     if stats.l1_accesses:
         rate = f"{1e6 * elapsed / stats.l1_accesses:.2f} us/access"
     else:
@@ -508,16 +494,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"{args.app} / {args.policy}: {stats.l1_accesses} accesses in "
         f"{elapsed:.2f}s under the profiler ({rate})"
     )
+    counters = report.store
     warm_label = (
         "build + warm-up (restored from warm-state snapshot)"
-        if restored
+        if counters is not None and counters["snapshot_hits"]
         else "build + warm-up"
     )
-    share = f" ({100 * warm_elapsed / elapsed:.0f}%)" if elapsed else ""
-    print(f"  {warm_label}: {warm_elapsed:.2f}s{share}")
-    print(f"  measured phase: {measure_elapsed:.2f}s")
-    if store is not None:
-        counters = store.counters()
+    share = f" ({100 * report.warm_seconds / elapsed:.0f}%)" if elapsed else ""
+    print(f"  {warm_label}: {report.warm_seconds:.2f}s{share}")
+    print(f"  measured phase: {report.measure_seconds:.2f}s")
+    if counters is not None:
         print(
             "  store (this process): "
             f"results {counters['hits']} hit / {counters['misses']} miss, "
@@ -531,13 +517,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     else:
         print("  store: disabled (REPRO_STORE=off)")
-    # The bulk-miss seam's diagnostics, from the profiled run's own
-    # engine (only the batched kernel has the seam).
-    summary_fn = getattr(engine, "bulk_summary", None)
-    if summary_fn is not None:
-        summary = summary_fn()
-        bulk = summary["bulk_transacts"]
-        bailouts = summary["bailouts"]
+    # The bulk-miss seam's diagnostics (only the batched kernel has it).
+    if report.bulk is not None:
+        bulk = report.bulk["bulk_transacts"]
+        bailouts = report.bulk["bailouts"]
         bailed = sum(bailouts.values())
         seen = bulk + bailed
         if seen:

@@ -19,11 +19,10 @@ from repro.analysis.tables import render_table
 from repro.core.filter import SnoopPolicy
 from repro.experiments.common import (
     normalized_snoops_percent,
-    run_tasks,
     scaled,
     select_apps,
 )
-from repro.sim import SimConfig, SimTask
+from repro.sim import SimConfig, SimTask, run_matrix
 
 DEFAULT_APPS = ["fft", "ocean", "radix", "canneal", "specjbb"]
 
@@ -53,7 +52,7 @@ def run(apps: Optional[List[str]] = None, seed: int = 42) -> Dict[str, Dict[str,
         for _, filter_kind, period in variants:
             config = _config(filter_kind, SnoopPolicy.VSNOOP_COUNTER, period, seed)
             tasks.append(SimTask(config, app))
-    pairs = iter(zip(tasks, run_tasks(tasks, label="regionscout")))
+    pairs = iter(zip(tasks, run_matrix(tasks, label="regionscout")))
     results: Dict[str, Dict[str, float]] = {}
     for app in apps:
         row: Dict[str, float] = {}

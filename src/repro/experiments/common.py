@@ -6,9 +6,10 @@ same rows/series the paper's figure or table reports.
 
 Drivers fan their simulation matrices out through
 :mod:`repro.sim.runner`: build the full (config, app) task list, run it
-with :func:`run_tasks`, and zip the (input-ordered) results back. The
-job count comes from ``repro-sim --jobs`` / ``REPRO_JOBS``; results are
-bit-identical at any job count.
+with :func:`~repro.sim.runner.run_matrix` under a label naming the
+figure, and zip the (input-ordered) results back. The job count comes
+from ``repro-sim --jobs`` / ``REPRO_JOBS``; results are bit-identical
+at any job count.
 
 Set ``REPRO_FAST=1`` to shrink run lengths (quarter-size traces, subset
 of applications) for quick smoke runs of the benchmark suite.
@@ -17,9 +18,9 @@ of applications) for quick smoke runs of the benchmark suite.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.sim import SimConfig, SimStats, SimTask, run_matrix, run_simulation_task
+from repro.sim import SimStats
 
 
 def fast_mode() -> bool:
@@ -35,27 +36,6 @@ def scaled(accesses: int, factor: int = 4) -> int:
 def select_apps(apps: List[str], fast_subset: int = 3) -> List[str]:
     """Full application list, or a deterministic subset in fast mode."""
     return apps[:fast_subset] if fast_mode() else list(apps)
-
-
-def run_app(config: SimConfig, app: str) -> SimStats:
-    """Build, run, and return the statistics of one configuration."""
-    return run_simulation_task(SimTask(config, app))
-
-
-def run_tasks(
-    tasks: Sequence[SimTask],
-    jobs: Optional[int] = None,
-    label: Optional[str] = None,
-) -> List[SimStats]:
-    """Run a driver's task matrix; results align index-for-index.
-
-    ``label`` names the matrix in campaign manifests and progress lines
-    when a campaign directory is active (``repro-sim experiment
-    --out`` or ``REPRO_CAMPAIGN_DIR``); its stored cells are skipped
-    on resume and a failing cell raises
-    :class:`~repro.sim.runner.TaskError` identifying the task.
-    """
-    return run_matrix(tasks, jobs=jobs, label=label)
 
 
 def normalized_snoops_percent(stats: SimStats, num_cores: int) -> float:

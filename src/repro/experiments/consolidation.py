@@ -32,11 +32,10 @@ from repro.analysis.tables import render_table
 from repro.core.filter import SnoopPolicy
 from repro.experiments.common import (
     normalized_snoops_percent,
-    run_tasks,
     scaled,
     select_apps,
 )
-from repro.sim import SimConfig, SimTask
+from repro.sim import SimConfig, SimTask, run_matrix
 
 POLICIES = tuple(SnoopPolicy)
 
@@ -117,7 +116,7 @@ def run(
         for host in hosts
         for policy in policies
     ]
-    all_stats = iter(run_tasks(tasks, label="consolidation"))
+    all_stats = iter(run_matrix(tasks, label="consolidation"))
     results: Dict[str, Dict[int, Dict[str, Dict[str, float]]]] = {}
     for app in apps:
         results[app] = {}

@@ -24,12 +24,11 @@ from repro.analysis.tables import render_table
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.experiments.common import (
     normalized_snoops_percent,
-    run_tasks,
     scaled,
     select_apps,
 )
 from repro.mem.pagetype import PageType
-from repro.sim import SimConfig, SimTask
+from repro.sim import SimConfig, SimTask, run_matrix
 from repro.workloads import CONTENT_APPS
 
 CONTENT_POLICIES = (
@@ -62,7 +61,7 @@ def run_sharing_stats(
         SimTask(content_config(ContentPolicy.BROADCAST, seed), app) for app in apps
     ]
     results: Dict[str, Dict[str, float]] = {}
-    for app, stats in zip(apps, run_tasks(tasks, label="tab5_tab6")):
+    for app, stats in zip(apps, run_matrix(tasks, label="tab5_tab6")):
         ro_misses = max(stats.coherence.ro_misses, 1)
         results[app] = {
             # Table V
@@ -87,7 +86,7 @@ def run_policy_comparison(
         for app in apps
         for policy in CONTENT_POLICIES
     ]
-    all_stats = iter(run_tasks(tasks, label="fig10"))
+    all_stats = iter(run_matrix(tasks, label="fig10"))
     results: Dict[str, Dict[str, float]] = {}
     for app in apps:
         results[app] = {}

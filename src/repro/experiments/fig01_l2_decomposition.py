@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import run_tasks, scaled, select_apps
-from repro.sim import SimConfig, SimTask
+from repro.experiments.common import scaled, select_apps
+from repro.sim import SimConfig, SimTask, run_matrix
 from repro.workloads import FIG1_APPS
 from repro.workloads.trace import Initiator
 
@@ -43,7 +43,7 @@ def run(apps: List[str] = None) -> Dict[str, Dict[str, float]]:
     apps = select_apps(FIG1_APPS if apps is None else apps)
     tasks = [SimTask(fig1_config(), app) for app in apps]
     results: Dict[str, Dict[str, float]] = {}
-    for app, stats in zip(apps, run_tasks(tasks, label="fig1")):
+    for app, stats in zip(apps, run_matrix(tasks, label="fig1")):
         shares = stats.miss_decomposition_by_initiator()
         results[app] = {
             "guest": 100.0 * shares[Initiator.GUEST],

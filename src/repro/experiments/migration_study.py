@@ -24,11 +24,10 @@ from repro.analysis.tables import render_table
 from repro.core.filter import SnoopPolicy
 from repro.experiments.common import (
     normalized_snoops_percent,
-    run_tasks,
     scaled,
     select_apps,
 )
-from repro.sim import SimConfig, SimTask
+from repro.sim import SimConfig, SimTask, run_matrix
 from repro.workloads import COHERENCE_APPS
 
 FIG7_PERIODS_MS = (5.0, 2.5)
@@ -69,7 +68,7 @@ def run(
         for period in periods_ms
         for policy in policies
     ]
-    all_stats = iter(run_tasks(tasks, label="fig7_8_9"))
+    all_stats = iter(run_matrix(tasks, label="fig7_8_9"))
     results: Dict[str, Dict[float, Dict[str, Dict[str, object]]]] = {}
     for app in apps:
         results[app] = {}

@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.tables import render_table
 from repro.core.filter import SnoopPolicy
-from repro.experiments.common import normalized_snoops_percent, run_tasks, scaled
-from repro.sim import SimConfig, SimTask
+from repro.experiments.common import normalized_snoops_percent, scaled
+from repro.sim import SimConfig, SimTask, run_matrix
 from repro.workloads.suites import SUITE_NAMES
 
 POLICIES = tuple(SnoopPolicy)
@@ -89,7 +89,7 @@ def run(
         for suite in suites
         for policy in policies
     ]
-    all_stats = iter(run_tasks(tasks, label="patterns"))
+    all_stats = iter(run_matrix(tasks, label="patterns"))
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for suite in suites:
         results[suite] = {}

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional
 
 from repro.analysis.tables import render_table
 from repro.core.filter import SnoopPolicy
-from repro.experiments.common import run_tasks, scaled, select_apps
-from repro.sim import SimConfig, SimTask
+from repro.experiments.common import scaled, select_apps
+from repro.sim import SimConfig, SimTask, run_matrix
 from repro.workloads import COHERENCE_APPS
 
 
@@ -40,7 +40,7 @@ def run(apps: Optional[List[str]] = None, seed: int = 42) -> Dict[str, Dict[str,
     for app in apps:
         tasks.append(SimTask(pinned_config(SnoopPolicy.BROADCAST, seed), app))
         tasks.append(SimTask(pinned_config(SnoopPolicy.VSNOOP_BASE, seed), app))
-    stats = iter(run_tasks(tasks, label="tab4_fig6"))
+    stats = iter(run_matrix(tasks, label="tab4_fig6"))
     results: Dict[str, Dict[str, float]] = {}
     for app in apps:
         base = next(stats)

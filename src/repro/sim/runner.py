@@ -17,19 +17,21 @@ Job-count resolution, in priority order:
    one job per CPU),
 4. serial (``jobs=1``).
 
-``jobs=1`` never spawns processes: the same worker function runs inline,
-so the serial path *is* the parallel path minus the pool, and there is
-no separate code path to drift.
+``jobs=1`` never spawns processes: the same attempt function runs
+inline, so the serial path *is* the parallel path minus the worker
+processes, and there is no separate code path to drift.
 
-Fault tolerance and campaigns
------------------------------
+One executor and campaigns
+--------------------------
 
-:func:`run_matrix_detailed` is the fault-tolerant executor underneath
-:func:`run_matrix`. Each cell runs in its own worker process with its
-exceptions captured (a crash in one cell never discards the others),
-optional per-cell retries and a wall-clock timeout, and the whole matrix
-survives Ctrl-C: workers are terminated and the completed cells are
-returned via :class:`CampaignInterrupted`.
+:func:`parallel_map` and :func:`run_matrix_detailed` (underneath
+:func:`run_matrix`) share one executor: one worker process per item, at
+most ``jobs`` alive, exceptions captured per item, a dead worker
+detected through pipe EOF and exit code, and Ctrl-C terminating the
+workers still running. :func:`run_matrix_detailed` adds per-cell
+retries, a wall-clock timeout and :class:`CampaignInterrupted`. A
+simulated cell returns a :class:`CellReport` with its statistics, so no
+per-cell fact goes through a module global.
 
 With ``checkpoint_dir`` set, the directory is opened as a
 :class:`~repro.store.ResultStore` (the *campaign store*): every
@@ -40,8 +42,9 @@ entries carry the same ``STATE_VERSION``, key and identity checks as
 the global store, and because the JSON round trip through
 :meth:`SimStats.to_dict` is lossless, a resumed matrix is bit-identical
 to an uninterrupted serial run. A ``manifest-*.json`` per matrix records
-what ran: tasks, seeds, job count, git revision, per-cell wall-clock and
-µs/access, and failures. The campaign directory defaults to the
+what ran: tasks, seeds, job count, git revision, per-cell wall-clock,
+warm/measure split and µs/access, failures, and the store traffic of
+this matrix's cells. The campaign directory defaults to the
 ``REPRO_CAMPAIGN_DIR`` environment variable, or to the
 :func:`set_campaign` settings installed by ``repro-sim experiment
 --out/--resume/--retries/--task-timeout``.
@@ -61,7 +64,7 @@ import time
 import traceback
 from collections import deque
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from multiprocessing import connection
 from pathlib import Path
 from typing import (
@@ -71,6 +74,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
 )
 
@@ -98,30 +102,47 @@ class SimTask(NamedTuple):
     app: str
 
 
-# Engine diagnostics of the most recent simulated cell in this process —
-# a side channel because SimStats is byte-identical across kernels by
-# contract and cannot carry kernel-specific counters. Safe under
-# parallel_map: the executors' attempt loop (_attempt_cell) clears it
-# before each attempt and pops it (consume_diagnostics) right after the
-# task function returns, in the same process that ran the cell, so
-# nothing leaks across cells on either path.
-_last_diagnostics: Optional[dict] = None
+@dataclasses.dataclass(frozen=True)
+class CellReport:
+    """What one simulated cell measured besides its ``SimStats``.
+
+    ``SimStats`` is byte-identical across kernels by contract, so
+    engine-side facts travel here instead. Plain data only: the report
+    is pickled back from worker processes and must not keep a system or
+    engine alive.
+    """
+
+    # The batched engine's bulk_summary(); None on the reference engine.
+    bulk: Optional[dict] = None
+    # Global-store counter delta of this cell, counted in the process
+    # that served it; None with the store off.
+    store: Optional[dict] = None
+    # Build + warm-up (or snapshot restore) and measured-phase seconds;
+    # None when the cell was not simulated here.
+    warm_seconds: Optional[float] = None
+    measure_seconds: Optional[float] = None
 
 
-def consume_diagnostics() -> Optional[dict]:
-    """Pop the diagnostics left behind by the last cell run here."""
-    global _last_diagnostics
-    diagnostics = _last_diagnostics
-    _last_diagnostics = None
-    return diagnostics
+def _traffic_since(store: Optional[ResultStore], before: dict) -> Optional[dict]:
+    """The store's counter delta since ``before`` (None with the store off)."""
+    if store is None:
+        return None
+    after = store.counters()
+    return {name: after[name] - before[name] for name in after}
+
+
+def _add_traffic(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
+    """Sum two counter deltas; None (store off) adds nothing."""
+    if a is None or b is None:
+        return b if a is None else a
+    return {name: a[name] + b[name] for name in a}
 
 
 def run_simulation_task(task: SimTask) -> SimStats:
     """Build, run and return the statistics of one task.
 
-    Module-level (and argument-picklable) so a multiprocessing pool can
-    ship it to workers; also the serial path's worker, so both paths run
-    byte-for-byte the same code.
+    Module-level and argument-picklable, so any executor path can run
+    it; the serial and parallel paths run byte-for-byte the same code.
 
     Reuse, when a :mod:`repro.store` is configured (the default):
 
@@ -145,29 +166,47 @@ def run_simulation_task(task: SimTask) -> SimStats:
         )
         if stats is not None:
             return stats
-    return _simulate_and_save(task)
+    return _simulate_and_save(task)[0]
 
 
-def _simulate_and_save(task: SimTask) -> SimStats:
+def _simulate_and_save(task: SimTask) -> Tuple[SimStats, CellReport]:
     """Simulate one cell and save it to the global store, without a lookup.
 
     :func:`run_matrix_detailed` runs this directly on cells its own
     lookup already missed, so a cell is looked up once, not again in
     the worker.
     """
-    global _last_diagnostics
-    system, engine, clocks = prepare_task(task)
-    engine.measure(clocks)
-    stats = system.stats
-    summary_fn = getattr(engine, "bulk_summary", None)
-    if summary_fn is not None:
-        _last_diagnostics = summary_fn()
+    stats, report = run_cell(task)
     store = get_store()
     if store is not None:
         store.save_result(
             task_key(task), task.app, config_to_dict(task.config), stats
         )
-    return stats
+    return stats, report
+
+
+def run_cell(task: SimTask) -> Tuple[SimStats, CellReport]:
+    """Build, warm and measure one cell; return its stats and report.
+
+    No result-store layer: the cell always runs (warm-state snapshots
+    still apply, through :func:`prepare_task`). ``repro-sim profile``
+    runs exactly this under cProfile.
+    """
+    store = get_store()
+    before = store.counters() if store is not None else {}
+    start = time.perf_counter()
+    system, engine, clocks = prepare_task(task)
+    warmed = time.perf_counter()
+    engine.measure(clocks)
+    end = time.perf_counter()
+    bulk_summary = getattr(engine, "bulk_summary", None)
+    report = CellReport(
+        bulk=bulk_summary() if bulk_summary is not None else None,
+        store=_traffic_since(store, before),
+        warm_seconds=warmed - start,
+        measure_seconds=end - warmed,
+    )
+    return system.stats, report
 
 
 def prepare_task(task: SimTask):
@@ -198,22 +237,14 @@ def prepare_task(task: SimTask):
                     clocks = engine.restore_warm(state)
                 except SnapshotMismatch as exc:
                     # Raised before any mutation: warming this system is
-                    # still safe. Convert the hit to a loud skip.
-                    store.snapshot_hits -= 1
-                    store.snapshot_skipped += 1
-                    print(
-                        f"[repro.store] skipping snapshot {fingerprint_key}: {exc}",
-                        file=sys.stderr,
-                    )
+                    # still safe.
+                    store.reject_snapshot(fingerprint_key, str(exc))
                 except Exception as exc:
                     # Mutation-phase failure (malformed plain data): the
                     # system may be half-restored, so rebuild it.
-                    store.snapshot_hits -= 1
-                    store.snapshot_skipped += 1
-                    print(
-                        f"[repro.store] skipping snapshot {fingerprint_key}: "
+                    store.reject_snapshot(
+                        fingerprint_key,
                         f"restore failed ({exc.__class__.__name__}: {exc})",
-                        file=sys.stderr,
                     )
                     system = build_system(task.config, get_profile(task.app))
                     engine = engine_for(system)
@@ -353,12 +384,10 @@ class TaskResult(NamedTuple):
     from_checkpoint: bool
     # Served by the cross-run result store (repro.store) without running.
     from_store: bool = False
-    # Engine-side diagnostics that must never live on SimStats (results
-    # stay byte-identical across kernels by contract): currently the
-    # batched kernel's bulk-miss seam summary. None when the cell was
-    # served from the campaign or global store or ran on the reference
-    # engine.
-    diagnostics: Optional[dict] = None
+    # The cell's report: on every cell of a real-simulation matrix (a
+    # store-served or failed cell's report holds only its store lookup),
+    # None under a custom task_fn.
+    diagnostics: Optional[CellReport] = None
 
     @property
     def ok(self) -> bool:
@@ -444,90 +473,6 @@ def warmup_fingerprint(task: SimTask) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# parallel_map — generic order-preserving fan-out.
-# ----------------------------------------------------------------------
-
-
-class _WorkerFailure(NamedTuple):
-    """In-band failure marker returned by a worker instead of a result."""
-
-    index: int
-    error: Optional[BaseException]
-    traceback_text: str
-
-
-def _call_indexed(fn, pair):
-    """Run ``fn`` on one (index, item) pair, capturing any exception.
-
-    The failure travels back as a value so the parent learns *which*
-    task failed instead of an opaque remote traceback; the exception
-    object rides along when it pickles, for ``raise ... from`` chaining.
-    """
-    index, item = pair
-    try:
-        return fn(item)
-    except Exception as exc:
-        text = traceback.format_exc()
-        try:
-            pickle.dumps(exc)
-        except Exception:
-            exc = None
-        return _WorkerFailure(index, exc, text)
-
-
-def _raise_first_failure(results: Sequence[object], items: Sequence[object]) -> None:
-    for res in results:
-        if isinstance(res, _WorkerFailure):
-            item_text = repr(items[res.index])
-            if len(item_text) > 200:
-                item_text = item_text[:200] + "..."
-            raise WorkerError(
-                res.index,
-                items[res.index],
-                f"parallel task {res.index} ({item_text}) failed:\n"
-                f"{res.traceback_text}",
-            ) from res.error
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], jobs: Optional[int] = None
-) -> List[R]:
-    """Apply ``fn`` to every item, preserving input order in the result.
-
-    ``fn`` and the items must be picklable when ``jobs > 1`` (``fn`` at
-    module level, items built from plain data). Work is distributed over
-    a process pool; results come back in input order regardless of
-    completion order, so callers can zip them against their task lists.
-
-    A failing item raises :class:`WorkerError` naming its index and item
-    (identically at any job count, the serial path included), with the
-    worker's exception chained. Ctrl-C terminates the pool instead of
-    leaving workers joining indefinitely.
-    """
-    items = list(items)
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = max(1, min(jobs, len(items))) if items else 1
-    wrapped = partial(_call_indexed, fn)
-    if jobs == 1:
-        results = [wrapped(pair) for pair in enumerate(items)]
-        _raise_first_failure(results, items)
-        return results
-    pool = multiprocessing.get_context().Pool(processes=jobs)
-    try:
-        results = pool.map(wrapped, list(enumerate(items)))
-    except KeyboardInterrupt:
-        pool.terminate()
-        pool.join()
-        raise
-    else:
-        pool.close()
-        pool.join()
-    _raise_first_failure(results, items)
-    return results
-
-
-# ----------------------------------------------------------------------
 # Run manifest.
 # ----------------------------------------------------------------------
 
@@ -545,8 +490,13 @@ def _git_revision() -> str:
         return "unknown"
 
 
+def _seconds(value: Optional[float]) -> Optional[float]:
+    return None if value is None else round(value, 3)
+
+
 def _manifest_entry(result: TaskResult, key: str) -> dict:
     task = result.task
+    report = result.diagnostics or CellReport()
     us_per_access = None
     reused = result.from_checkpoint or result.from_store
     if result.stats is not None and result.stats.l1_accesses and not reused:
@@ -568,6 +518,8 @@ def _manifest_entry(result: TaskResult, key: str) -> dict:
         "from_store": result.from_store,
         "attempts": result.attempts,
         "wall_seconds": round(result.wall_seconds, 3),
+        "warm_seconds": _seconds(report.warm_seconds),
+        "measure_seconds": _seconds(report.measure_seconds),
         "us_per_access": us_per_access,
         "error": result.error,
     }
@@ -589,8 +541,8 @@ def _manifest_entry(result: TaskResult, key: str) -> dict:
     # Cells that ran on the batched kernel carry its bulk-miss seam
     # summary (inline transactions + per-reason bail-out histogram) —
     # engine diagnostics that by contract never appear in SimStats.
-    if result.diagnostics:
-        entry["kernel_bulk"] = result.diagnostics
+    if report.bulk is not None:
+        entry["kernel_bulk"] = report.bulk
     # Cells run with a metrics recorder carry their time-series into the
     # manifest, so a campaign's temporal behaviour (Figures 7-9) is
     # inspectable without re-running anything.
@@ -615,7 +567,11 @@ def _write_manifest(
         safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in label)
         name = f"manifest-{safe}.json"
     entries = [_manifest_entry(res, key) for res, key in zip(results, keys)]
-    store = get_store()
+    store = reduce(
+        _add_traffic,
+        (res.diagnostics.store for res in results if res.diagnostics is not None),
+        None,
+    )
     payload = {
         "format": MANIFEST_FORMAT,
         "label": label,
@@ -631,9 +587,9 @@ def _write_manifest(
             "from_store": sum(1 for e in entries if e["from_store"]),
             "wall_seconds": round(sum(e["wall_seconds"] for e in entries), 3),
         },
-        # Parent-process store traffic (worker-side hits happen in their
-        # own processes and are not aggregated here).
-        "store": store.counters() if store is not None else None,
+        # Global-store traffic of this matrix's cells, each counted in
+        # the process that served it: the same at any job count.
+        "store": store,
         "failures": [e["key"] for e in entries if not e["ok"]],
         "tasks": entries,
     }
@@ -700,61 +656,71 @@ class _Progress:
 
 
 # ----------------------------------------------------------------------
-# The fault-tolerant executor.
+# The executor (shared by parallel_map and run_matrix_detailed).
 # ----------------------------------------------------------------------
 
 
-def _attempt_cell(task_fn, task, retries):
-    """Run one cell, retrying a failure in place up to ``retries`` times.
+class _Outcome(NamedTuple):
+    """One item's run through the executor: its value or its failure."""
 
-    Returns ``(stats, error, attempts, wall_seconds, diagnostics)``;
-    ``error`` is the last attempt's traceback text, ``None`` on success.
+    value: object  # what fn returned; None on failure
+    error: Optional[str]  # traceback or reason text; None on success
+    cause: Optional[BaseException]  # the exception, only when it pickles
+    attempts: int
+    wall_seconds: float
+
+
+def _resolve_jobs(jobs: Optional[int], count: int) -> int:
+    """The job count for ``count`` items: the default, capped to the items."""
+    if jobs is None:
+        jobs = default_jobs()
+    return max(1, min(jobs, count)) if count else 1
+
+
+def _attempt_cell(fn, item, retries) -> _Outcome:
+    """Run one item, retrying a failure in place up to ``retries`` times.
+
     Only ``Exception`` is captured, so ``KeyboardInterrupt`` propagates.
+    The last attempt's exception rides along only when it survives a
+    pickle round trip; otherwise sending the outcome back from a worker
+    would fail and the failure would read as a worker death.
     """
     start = time.perf_counter()
-    error = None
     for attempts in range(1, max(retries, 0) + 2):
-        consume_diagnostics()  # each attempt starts with none
         try:
-            stats = task_fn(task)
-        except Exception:
-            error = traceback.format_exc()
+            value = fn(item)
+        except Exception as exc:
+            error, cause = traceback.format_exc(), exc
         else:
-            wall = time.perf_counter() - start
-            return stats, None, attempts, wall, consume_diagnostics()
-    wall = time.perf_counter() - start
-    return None, error, attempts, wall, None
+            return _Outcome(value, None, None, attempts, time.perf_counter() - start)
+    try:
+        pickle.loads(pickle.dumps(cause))
+    except Exception:
+        cause = None
+    return _Outcome(None, error, cause, attempts, time.perf_counter() - start)
 
 
-def _detailed_child(conn, task_fn, task, retries):
-    """Child-process body: run one cell with retries, report over the pipe."""
-    conn.send(_attempt_cell(task_fn, task, retries))
+def _worker(conn, fn, item, retries):
+    """Worker-process body: run one item with retries, report over the pipe."""
+    conn.send(_attempt_cell(fn, item, retries))
     conn.close()
 
 
-def _run_serial(tasks, indices, task_fn, retries, on_complete):
+def _run_serial(fn, items, indices, retries, on_complete):
     """Inline execution; identical capture semantics, no processes.
 
     ``KeyboardInterrupt`` propagates to the caller after the completed
-    cells have been reported (and therefore saved to the campaign store).
+    items have been reported (and, for a campaign, saved).
     """
     for i in indices:
-        stats, error, attempts, wall, diagnostics = _attempt_cell(
-            task_fn, tasks[i], retries
-        )
-        on_complete(
-            TaskResult(
-                i, tasks[i], stats, error, attempts, wall, False,
-                diagnostics=diagnostics,
-            )
-        )
+        on_complete(i, _attempt_cell(fn, items[i], retries))
 
 
-def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_complete):
-    """One worker process per cell, at most ``jobs`` alive at a time.
+def _run_parallel(fn, items, indices, jobs, retries, task_timeout, on_complete):
+    """One worker process per item, at most ``jobs`` alive at a time.
 
-    Process-per-task (rather than a shared pool) is what makes the
-    guarantees enforceable: a cell that exceeds ``task_timeout`` is
+    Process-per-item (rather than a shared pool) is what makes the
+    guarantees enforceable: an item that exceeds ``task_timeout`` is
     terminated without disturbing its siblings, a worker that dies
     abruptly is detected through pipe EOF + exit code, and Ctrl-C
     terminates exactly the processes still running.
@@ -768,8 +734,7 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                 i = queue.popleft()
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
-                    target=_detailed_child,
-                    args=(child_conn, task_fn, tasks[i], retries),
+                    target=_worker, args=(child_conn, fn, items[i], retries)
                 )
                 proc.start()
                 child_conn.close()
@@ -781,31 +746,16 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                 i = by_conn[conn]
                 proc, _, started = running.pop(i)
                 try:
-                    stats, error, attempts, wall, diagnostics = conn.recv()
+                    outcome = conn.recv()
                 except EOFError:
-                    proc.join()
-                    on_complete(
-                        TaskResult(
-                            i,
-                            tasks[i],
-                            None,
-                            "worker died before reporting a result "
-                            f"(exit code {proc.exitcode})",
-                            1,
-                            now - started,
-                            False,
-                        )
-                    )
-                else:
-                    proc.join()
-                    on_complete(
-                        TaskResult(
-                            i, tasks[i], stats, error, attempts, wall, False,
-                            diagnostics=diagnostics,
-                        )
-                    )
+                    outcome = None  # the worker died without reporting
                 finally:
                     conn.close()
+                proc.join()
+                if outcome is None:
+                    reason = f"worker died before reporting a result (exit code {proc.exitcode})"
+                    outcome = _Outcome(None, reason, None, 1, now - started)
+                on_complete(i, outcome)
             if task_timeout is not None:
                 for i, (proc, conn, started) in list(running.items()):
                     if now - started >= task_timeout:
@@ -813,17 +763,8 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
                         proc.join()
                         conn.close()
                         del running[i]
-                        on_complete(
-                            TaskResult(
-                                i,
-                                tasks[i],
-                                None,
-                                f"timed out after {task_timeout:g}s",
-                                1,
-                                now - started,
-                                False,
-                            )
-                        )
+                        reason = f"timed out after {task_timeout:g}s"
+                        on_complete(i, _Outcome(None, reason, None, 1, now - started))
     except BaseException:
         for proc, _, _ in running.values():
             proc.terminate()
@@ -831,6 +772,62 @@ def _run_parallel(tasks, indices, jobs, task_fn, retries, task_timeout, on_compl
             proc.join()
             conn.close()
         raise
+
+
+def _execute(fn, items, indices, jobs, retries, task_timeout, on_complete):
+    """Run ``fn`` on ``items[i]`` for each index; ``on_complete(i, outcome)``.
+
+    ``task_timeout`` needs worker processes to enforce, so it is ignored
+    on the inline ``jobs=1`` path.
+    """
+    if jobs == 1:
+        _run_serial(fn, items, indices, retries, on_complete)
+    else:
+        _run_parallel(fn, items, indices, jobs, retries, task_timeout, on_complete)
+
+
+# ----------------------------------------------------------------------
+# Fan-out entry points.
+# ----------------------------------------------------------------------
+
+
+def parallel_map(
+    fn: Callable[[T], R], items: Iterable[T], jobs: Optional[int] = None
+) -> List[R]:
+    """Apply ``fn`` to every item, preserving input order in the result.
+
+    Runs on the campaign executor (one worker process per item, at most
+    ``jobs`` alive); the results must pickle, and so must ``fn`` and the
+    items under a non-fork start method. Results come back in input
+    order regardless of completion order, so callers can zip them
+    against their task lists.
+
+    A failing item — an exception, or a worker that died — raises
+    :class:`WorkerError` for the lowest failing index, naming the item
+    (identically at any job count, the serial path included), with the
+    worker's exception chained when it pickled. Ctrl-C terminates the
+    running workers.
+    """
+    items = list(items)
+    jobs = _resolve_jobs(jobs, len(items))
+    outcomes: list = [None] * len(items)
+    _execute(fn, items, range(len(items)), jobs, 0, None, outcomes.__setitem__)
+    for index, outcome in enumerate(outcomes):
+        if outcome.error is not None:
+            item_text = repr(items[index])
+            if len(item_text) > 200:
+                item_text = item_text[:200] + "..."
+            raise WorkerError(
+                index,
+                items[index],
+                f"parallel task {index} ({item_text}) failed:\n{outcome.error}",
+            ) from outcome.cause
+    return [outcome.value for outcome in outcomes]
+
+
+def _without_report(task_fn, task):
+    """Adapt a custom ``task_fn`` to the ``(stats, report)`` shape."""
+    return task_fn(task), None
 
 
 def run_matrix_detailed(
@@ -871,9 +868,7 @@ def run_matrix_detailed(
         task_timeout = settings.task_timeout
     if progress is None:
         progress = settings.progress
-    if jobs is None:
-        jobs = default_jobs()
-    jobs = max(1, min(jobs, len(tasks))) if tasks else 1
+    jobs = _resolve_jobs(jobs, len(tasks))
 
     keys = [task_key(task) for task in tasks]
     configs = [config_to_dict(task.config) for task in tasks]
@@ -887,15 +882,23 @@ def run_matrix_detailed(
     # caller's responsibility to scope). The real simulation skips
     # run_simulation_task's own lookup: cells reaching the executor have
     # already missed the one below.
-    if task_fn is run_simulation_task:
+    simulate = task_fn is run_simulation_task
+    if simulate:
         store = get_store()
-        task_fn = _simulate_and_save
+        run_fn = _simulate_and_save
     else:
         store = None
+        run_fn = partial(_without_report, task_fn)
     stores = [s for s in (campaign, store) if s is not None]
+    # A simulated cell's report starts with the global-store traffic of
+    # its one lookup here; the worker adds the traffic of its own run.
+    lookups: List[Optional[CellReport]] = [None] * len(tasks)
     to_run: List[int] = []
     for i, task in enumerate(tasks):
+        before = store.counters() if store is not None else {}
         found = [s.load_result(keys[i], task.app, configs[i]) for s in stores]
+        if simulate:
+            lookups[i] = CellReport(store=_traffic_since(store, before))
         stats = next((hit for hit in found if hit is not None), None)
         if stats is None:
             to_run.append(i)
@@ -907,7 +910,8 @@ def run_matrix_detailed(
                 s.save_result(keys[i], task.app, configs[i], stats)
         from_checkpoint = campaign is not None and found[0] is not None
         results[i] = TaskResult(
-            i, task, stats, None, 0, 0.0, from_checkpoint, not from_checkpoint
+            i, task, stats, None, 0, 0.0, from_checkpoint, not from_checkpoint,
+            diagnostics=lookups[i],
         )
 
     reporter = _Progress(
@@ -917,28 +921,35 @@ def run_matrix_detailed(
         label=label,
     )
 
-    def on_complete(result: TaskResult) -> None:
+    def on_complete(i: int, outcome: _Outcome) -> None:
+        stats, report = outcome.value or (None, None)
+        if report is not None:  # a simulated cell: add its lookup's traffic
+            traffic = _add_traffic(lookups[i].store, report.store)
+            report = dataclasses.replace(report, store=traffic)
+        result = TaskResult(
+            i, tasks[i], stats, outcome.error, outcome.attempts,
+            outcome.wall_seconds, False, diagnostics=report or lookups[i],
+        )
         if result.ok and campaign is not None:
-            i = result.index
-            campaign.save_result(keys[i], result.task.app, configs[i], result.stats)
-        results[result.index] = result
+            campaign.save_result(keys[i], tasks[i].app, configs[i], stats)
+        results[i] = result
         reporter.completed(result)
 
     try:
-        if jobs == 1:
-            _run_serial(tasks, to_run, task_fn, retries, on_complete)
-        else:
-            _run_parallel(tasks, to_run, jobs, task_fn, retries, task_timeout, on_complete)
+        _execute(run_fn, tasks, to_run, jobs, retries, task_timeout, on_complete)
     except KeyboardInterrupt:
-        partial = [
+        unfinished = [
             res
             if res is not None
-            else TaskResult(i, tasks[i], None, "interrupted before completion", 0, 0.0, False)
+            else TaskResult(
+                i, tasks[i], None, "interrupted before completion", 0, 0.0, False,
+                diagnostics=lookups[i],
+            )
             for i, res in enumerate(results)
         ]
         if campaign is not None:
-            _write_manifest(campaign.root, label, partial, keys, jobs, interrupted=True)
-        raise CampaignInterrupted(partial) from None
+            _write_manifest(campaign.root, label, unfinished, keys, jobs, interrupted=True)
+        raise CampaignInterrupted(unfinished) from None
 
     final = [res for res in results if res is not None]
     assert len(final) == len(tasks), "executor lost a cell"
@@ -962,6 +973,10 @@ def run_matrix(
     and interrupt handling apply; a cell that still fails raises
     :class:`TaskError` identifying the task (after every other cell has
     completed — and, with a campaign directory, been saved).
+
+    ``label`` names the matrix in campaign manifests and progress lines
+    when a campaign directory is active (``repro-sim experiment --out``
+    or ``REPRO_CAMPAIGN_DIR``); its stored cells are skipped on resume.
     """
     detailed = run_matrix_detailed(
         tasks,

@@ -43,9 +43,11 @@ never silent, because a store serves many campaigns and a corrupt entry
 would otherwise cost every one of them a recompute with no trace of
 why.
 
-Hit/miss/skip counters accumulate per store instance; campaign manifests
-and ``repro-sim profile`` surface them so reuse wins are visible instead
-of inferred.
+Hit/miss/skip counters accumulate per store instance, in the process
+that served the traffic. Each simulated cell's report carries the delta
+its cell caused; campaign manifests sum those over the matrix and
+``repro-sim profile`` prints its cell's, so reuse wins are visible
+instead of inferred.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ def get_store() -> Optional["ResultStore"]:
     re-resolved when the environment changes (tests repoint the store
     mid-process via monkeypatch).
     """
-    # Safe under parallel_map: the memo is idempotent per process (keyed
-    # only by the REPRO_STORE environment each worker inherits), and the
-    # store itself is content-addressed on disk — workers never need to
-    # see each other's in-memory handle.
+    # Safe in worker processes: the memo is idempotent per process (keyed
+    # only by the REPRO_STORE environment each worker inherits), the
+    # store itself is content-addressed on disk, and each cell's report
+    # carries the counter delta of its own traffic back to the parent —
+    # workers never need to see each other's in-memory handle.
     global _store, _store_root
     root = store_root()
     if root is None:
@@ -250,6 +253,12 @@ class ResultStore:
         self.snapshot_skipped += 1
         self._warn("snapshot", path, reason)
         return None
+
+    def reject_snapshot(self, fingerprint_key: str, reason: str) -> None:
+        """Turn a served snapshot that failed to restore into a loud skip."""
+        self.snapshot_hits -= 1
+        self.snapshot_skipped += 1
+        self._warn("snapshot", self._snapshot_path(fingerprint_key), reason)
 
     @staticmethod
     def _check_snapshot(

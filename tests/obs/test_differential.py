@@ -1,7 +1,7 @@
 """Observers must not perturb the simulation they observe.
 
-The same config is run four ways — serial, through a two-worker
-``parallel_map`` pool, with the tracer attached, and with the metrics
+The same config is run four ways — serial, through two-worker
+``parallel_map``, with the tracer attached, and with the metrics
 recorder attached — and the resulting ``SimStats`` are compared **bit
 for bit** (canonical JSON encoding). This is the ``--sanitize``
 guarantee extended to the whole observability layer: with tracing and

@@ -89,7 +89,7 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
     def test_jobs_capped_to_items(self):
-        # More jobs than items must not fail (pool is sized down).
+        # More jobs than items must not fail (jobs are capped to the items).
         assert parallel_map(_square, [7], jobs=8) == [49]
 
 

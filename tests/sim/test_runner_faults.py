@@ -5,12 +5,16 @@ The guarantees under test:
 * one crashing cell never discards the others, and the failure
   identifies the task (index, app) — identically at any job count;
 * a worker process dying abruptly, or exceeding the task timeout, is
-  recorded as that cell's failure while its siblings complete;
+  recorded as that cell's failure while its siblings complete (and
+  ``parallel_map``, on the same executor, raises for it instead of
+  waiting forever);
 * Ctrl-C mid-campaign keeps the completed cells (saved when a
   campaign directory is active) and the resumed matrix is
   bit-identical — full ``SimStats`` dict diff — to an uninterrupted
   serial run;
-* the manifest records tasks, seeds, job count, wall-clock and failures.
+* the manifest records tasks, seeds, job count, wall-clock and failures,
+  and each simulated cell's report (bulk-seam summary, warm/measure
+  split) identically at any job count.
 """
 
 import json
@@ -82,6 +86,25 @@ def _square_or_boom(x):
     return x * x
 
 
+def _square_or_die(x):
+    if x == 2:
+        os._exit(17)
+    return x * x
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: its ``args`` hold one value."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def _raise_two_arg(x):
+    if x == 1:
+        raise _TwoArgError(x, "b")
+    return x
+
+
 class TestCrashIsolation:
     def test_injected_crash_keeps_other_cells(self):
         tasks = [
@@ -147,6 +170,21 @@ class TestParallelMapFailures:
 
     def test_success_unchanged(self):
         assert parallel_map(_square_or_boom, [0, 1, 3], jobs=2) == [0, 1, 9]
+
+    def test_worker_death_raises_for_its_index(self):
+        with pytest.raises(WorkerError) as excinfo:
+            parallel_map(_square_or_die, range(5), jobs=2)
+        assert excinfo.value.index == 2
+        assert excinfo.value.item == 2
+        assert "exit code 17" in str(excinfo.value)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exception_that_cannot_round_trip_is_reported_without_cause(self, jobs):
+        with pytest.raises(WorkerError) as excinfo:
+            parallel_map(_raise_two_arg, range(3), jobs=jobs)
+        assert excinfo.value.index == 1
+        assert excinfo.value.__cause__ is None
+        assert "_TwoArgError: 1/b" in str(excinfo.value)
 
 
 class TestCheckpointResume:
@@ -254,6 +292,38 @@ class TestManifest:
         assert not entries[1]["ok"] and "injected crash" in entries[1]["error"]
         assert manifest["failures"] == [entries[1]["key"]]
         assert all(e["wall_seconds"] >= 0 for e in entries)
+
+    def test_kernel_bulk_is_jobs_invariant_and_only_on_batched_runs(
+        self, tmp_path, monkeypatch
+    ):
+        tasks = [
+            SimTask(small_config(seed=13, kernel="batched"), "fft"),
+            SimTask(small_config(seed=14, kernel="batched"), "ocean"),
+            SimTask(small_config(seed=15, kernel="reference"), "fft"),
+        ]
+        entries = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv("REPRO_STORE", str(tmp_path / f"store-{jobs}"))
+            campaign = tmp_path / f"campaign-{jobs}"
+            run_matrix_detailed(
+                tasks, jobs=jobs, checkpoint_dir=str(campaign), label="kb"
+            )
+            entries[jobs] = json.loads((campaign / "manifest-kb.json").read_text())["tasks"]
+        bulk = [entry.get("kernel_bulk") for entry in entries[1]]
+        assert bulk == [entry.get("kernel_bulk") for entry in entries[2]]
+        assert bulk[0]["bulk_transacts"] > 0 and bulk[1]["bulk_transacts"] > 0
+        assert "kernel_bulk" not in entries[1][2]  # reference engine
+        for entry in entries[1] + entries[2]:
+            assert entry["warm_seconds"] > 0 and entry["measure_seconds"] > 0
+        # Served from the store: nothing ran, so no seam summary or split.
+        campaign = tmp_path / "campaign-served"
+        served = run_matrix_detailed(
+            tasks, jobs=1, checkpoint_dir=str(campaign), label="kb"
+        )
+        assert all(result.from_store for result in served)
+        for entry in json.loads((campaign / "manifest-kb.json").read_text())["tasks"]:
+            assert "kernel_bulk" not in entry
+            assert entry["warm_seconds"] is entry["measure_seconds"] is None
 
     def test_unlabelled_matrix_gets_digest_named_manifest(self, tmp_path):
         run_matrix_detailed(seed_tasks(1), jobs=1, checkpoint_dir=str(tmp_path))

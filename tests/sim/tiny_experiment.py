@@ -5,8 +5,7 @@ Registered into ``repro.cli.EXPERIMENTS`` under a test-only name so the
 two-cell matrix instead of a full paper figure.
 """
 
-from repro.sim import SimConfig, SimTask
-from repro.experiments.common import run_tasks
+from repro.sim import SimConfig, SimTask, run_matrix
 
 
 def tiny_tasks():
@@ -15,6 +14,6 @@ def tiny_tasks():
 
 
 def main() -> None:
-    results = run_tasks(tiny_tasks(), label="tiny")
+    results = run_matrix(tiny_tasks(), label="tiny")
     for task, stats in zip(tiny_tasks(), results):
         print(f"{task.app}: {stats.total_snoops} snoops")

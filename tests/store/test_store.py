@@ -5,12 +5,15 @@ bit-identically from the store; truncated entries, stale
 ``STATE_VERSION`` stamps and hash collisions are skipped loudly (with
 the reason on stderr) and the cell recomputes; and the key layer keeps
 smoke (``REPRO_FAST``) and full cells, and warmup-inert versus
-warmup-relevant config fields, properly apart.
+warmup-relevant config fields, properly apart. A campaign manifest's
+``store`` block counts exactly its own matrix's traffic, each cell's in
+the process that served it, so it reads the same at any job count.
 """
 
 import dataclasses
 import json
 import pickle
+import shutil
 
 import pytest
 
@@ -23,6 +26,19 @@ from repro.sim.runner import (
     warmup_fingerprint,
 )
 from repro.store import STATE_VERSION, ResultStore, get_store, store_root
+
+
+def traffic(**counts) -> dict:
+    """A manifest ``store`` block: the given counters, every other 0."""
+    block = dict.fromkeys(
+        (
+            "hits", "misses", "skipped",
+            "snapshot_hits", "snapshot_misses", "snapshot_skipped",
+        ),
+        0,
+    )
+    block.update(counts)
+    return block
 
 
 def tiny_config(**overrides) -> SimConfig:
@@ -152,9 +168,55 @@ class TestResultReuse:
         run_matrix_detailed([task], jobs=1, checkpoint_dir=str(ckpt), label="m")
         manifest = json.loads((ckpt / "manifest-m.json").read_text())
         assert manifest["totals"]["from_store"] == 1
-        assert manifest["store"]["hits"] >= 1
+        # Only this matrix's one lookup; the warm-up run above is not in it.
+        assert manifest["store"] == traffic(hits=1)
         assert manifest["tasks"][0]["from_store"] is True
         assert manifest["tasks"][0]["us_per_access"] is None
+
+
+class TestStoreAccounting:
+    def test_manifest_store_block_is_jobs_invariant_and_per_matrix(
+        self, tmp_path, monkeypatch
+    ):
+        seeds = (71, 72, 73, 74)
+        warm = tmp_path / "warm"
+        monkeypatch.setenv("REPRO_STORE", str(warm))
+        # Same warm-up fingerprints, different cells: only the measured
+        # budget differs, so the matrix below restores every warm-up.
+        run_matrix_detailed(
+            [SimTask(tiny_config(seed=s, accesses_per_vcpu=200), "fft") for s in seeds],
+            jobs=1,
+        )
+        tasks = [SimTask(tiny_config(seed=s), "fft") for s in seeds]
+        blocks = {}
+        for jobs in (1, 2):
+            store = tmp_path / f"store-{jobs}"
+            shutil.copytree(warm, store)
+            monkeypatch.setenv("REPRO_STORE", str(store))
+            campaign = tmp_path / f"campaign-{jobs}"
+            run_matrix_detailed(
+                tasks, jobs=jobs, checkpoint_dir=str(campaign), label="m"
+            )
+            manifest = json.loads((campaign / "manifest-m.json").read_text())
+            blocks[jobs] = manifest["store"]
+        assert blocks[1] == blocks[2] == traffic(misses=4, snapshot_hits=4)
+
+        # A second matrix in the same process reports only its own
+        # traffic: one stored cell and one new warm-up.
+        campaign = tmp_path / "campaign-again"
+        again = [tasks[0], SimTask(tiny_config(seed=75), "fft")]
+        run_matrix_detailed(again, jobs=1, checkpoint_dir=str(campaign), label="m")
+        manifest = json.loads((campaign / "manifest-m.json").read_text())
+        assert manifest["store"] == traffic(hits=1, misses=1, snapshot_misses=1)
+
+    def test_store_off_writes_a_null_block(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "off")
+        run_matrix_detailed(
+            [SimTask(tiny_config(seed=76), "fft")], jobs=1,
+            checkpoint_dir=str(tmp_path), label="m",
+        )
+        manifest = json.loads((tmp_path / "manifest-m.json").read_text())
+        assert manifest["store"] is None
 
 
 class TestResultHardening:
