@@ -6,23 +6,28 @@ one token and write it only while holding all tokens, one of which is the
 *owner token* that obliges its holder to respond with data. This registry
 keeps the abstract per-block state the evaluation needs:
 
-* ``sharers`` — the set of cores whose (L2) cache holds a valid copy,
+* ``sharers`` — the cores whose (L2) cache holds a valid copy, as a
+  bitmask (bit ``c`` set iff core ``c`` holds one),
 * ``owner`` — the core holding the owner token, or ``MEMORY`` when the
   owner token (and an up-to-date copy) resides at the memory controller,
 * ``dirty`` — whether the memory copy is stale,
 * ``providers`` — for content-shared (RO-shared) blocks, the per-VM
   provider designation of Section VI-B: the one copy per VM that answers
-  intra-VM / friend-VM requests.
+  intra-VM / friend-VM requests. ``None`` while no copy is designated,
+  so a block that is never content-shared carries no table.
 
 Exact integer token counts are not tracked: every protocol decision in
-the paper's experiments depends only on the sets above (a GETS succeeds
-iff it reaches the owner; a GETM succeeds iff it reaches every sharer),
-so the sets are the faithful abstraction.
+the paper's experiments depends only on the sharer mask and the owner
+(a GETS succeeds iff it reaches the owner; a GETM succeeds iff it
+reaches every sharer), so they are the faithful abstraction. A mask is
+the hardware's own spelling of a core set and costs one int per record
+where a one-element ``set`` cost ~200 bytes. The query API below still
+speaks in cores (:func:`cores_of` decodes a mask in ascending order).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 MEMORY = -1
 """Pseudo-core id denoting the memory controller as token holder."""
@@ -35,22 +40,41 @@ system; the per-VM designations of Section VI-B extend this. The global
 designation is what a broadcast GETS on a content-shared page uses."""
 
 
+def mask_of(cores: Iterable[int]) -> int:
+    """The bitmask of ``cores`` (bit ``c`` set iff ``c`` is among them)."""
+    mask = 0
+    for core in cores:
+        mask |= 1 << core
+    return mask
+
+
+def cores_of(mask: int) -> List[int]:
+    """The cores of a sharer mask, in ascending order."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return cores
+
+
 class BlockState:
     """Registry record for one block that has ever been cached."""
 
     __slots__ = ("sharers", "owner", "dirty", "providers")
 
     def __init__(self) -> None:
-        self.sharers: Set[int] = set()
+        self.sharers: int = 0
         self.owner: int = MEMORY
         self.dirty: bool = False
-        # vm_id -> core currently designated data provider for that VM
-        # (populated only for content-shared blocks).
-        self.providers: Dict[int, int] = {}
+        # vm_id -> core currently designated data provider for that VM;
+        # None unless a content-shared grant designated one (a table
+        # whose last designation leaves goes back to None).
+        self.providers: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:
         return (
-            f"BlockState(sharers={sorted(self.sharers)}, owner={self.owner}, "
+            f"BlockState(sharers={cores_of(self.sharers)}, owner={self.owner}, "
             f"dirty={self.dirty})"
         )
 
@@ -87,7 +111,7 @@ class TokenRegistry:
 
     def sharers_of(self, block: int) -> Set[int]:
         state = self._blocks.get(block)
-        return set(state.sharers) if state is not None else set()
+        return set(cores_of(state.sharers)) if state is not None else set()
 
     def is_cached_anywhere(self, block: int) -> bool:
         state = self._blocks.get(block)
@@ -99,8 +123,7 @@ class TokenRegistry:
         return (
             state is not None
             and state.owner == core
-            and len(state.sharers) == 1
-            and core in state.sharers
+            and state.sharers == 1 << core
         )
 
     def write_hit(self, core: int, block: int) -> bool:
@@ -110,14 +133,11 @@ class TokenRegistry:
         silent in MOESI), so hypervisor-initiated flushes know memory is
         stale. Returns whether the write may proceed without a GETM.
         """
-        # `len == 1 and core in` avoids building a one-element set per call
-        # (this check runs for every simulated store that hits locally).
         state = self._blocks.get(block)
         if (
             state is not None
             and state.owner == core
-            and len(state.sharers) == 1
-            and core in state.sharers
+            and state.sharers == 1 << core
         ):
             state.dirty = True
             return True
@@ -126,7 +146,7 @@ class TokenRegistry:
     def provider_for_vm(self, block: int, vm_id: int) -> Optional[int]:
         """The designated intra-VM provider core of ``block`` for ``vm_id``."""
         state = self._blocks.get(block)
-        if state is None:
+        if state is None or state.providers is None:
             return None
         return state.providers.get(vm_id)
 
@@ -142,10 +162,13 @@ class TokenRegistry:
         the VM, Section VI-B).
         """
         state = self._get_or_create(block)
-        state.sharers.add(core)
+        state.sharers |= 1 << core
         if vm_id is not None:
-            state.providers.setdefault(vm_id, core)
-            state.providers.setdefault(GLOBAL_PROVIDER, core)
+            providers = state.providers
+            if providers is None:
+                providers = state.providers = {}
+            providers.setdefault(vm_id, core)
+            providers.setdefault(GLOBAL_PROVIDER, core)
 
     def grant_exclusive(self, core: int, block: int, dirty: bool = True) -> Set[int]:
         """Grant ``core`` all tokens.
@@ -157,17 +180,12 @@ class TokenRegistry:
         previous sharers except the requester).
         """
         state = self._get_or_create(block)
-        sharers = state.sharers
-        # Fast path: no other sharer to invalidate (the overwhelmingly
-        # common outcome — E-state grants and upgrades by the sole holder).
-        if not sharers or (len(sharers) == 1 and core in sharers):
-            invalidate: Set[int] = set()
-        else:
-            invalidate = {c for c in sharers if c != core}
-        state.sharers = {core}
+        bit = 1 << core
+        invalidate = set(cores_of(state.sharers & ~bit))
+        state.sharers = bit
         state.owner = core
         state.dirty = dirty
-        state.providers.clear()
+        state.providers = None
         return invalidate
 
     def evicted(self, core: int, block: int, dirty: bool) -> str:
@@ -180,14 +198,19 @@ class TokenRegistry:
         invalidated).
         """
         state = self._blocks.get(block)
-        if state is None or core not in state.sharers:
+        bit = 1 << core
+        if state is None or not state.sharers & bit:
             return "none"
-        state.sharers.discard(core)
-        for vm_id, provider in list(state.providers.items()):
-            if provider == core:
-                # Pass the designation to another copy inside the same VM
-                # if one exists, else drop it.
-                del state.providers[vm_id]
+        state.sharers ^= bit
+        providers = state.providers
+        if providers is not None:
+            for vm_id, provider in list(providers.items()):
+                if provider == core:
+                    # The designation leaves with the copy; the next copy
+                    # brought into the VM takes it up (grant_shared).
+                    del providers[vm_id]
+            if not providers:
+                state.providers = None
         outcome = "token_return"
         if state.owner == core:
             state.owner = MEMORY
@@ -196,7 +219,7 @@ class TokenRegistry:
                 state.dirty = False
         if not state.sharers:
             # All tokens back at memory: drop the record to bound memory use.
-            if state.owner == MEMORY and not state.providers:
+            if state.owner == MEMORY and state.providers is None:
                 del self._blocks[block]
         return outcome
 
@@ -205,7 +228,7 @@ class TokenRegistry:
         to the GETM requester, handled by :meth:`grant_exclusive`)."""
         state = self._blocks.get(block)
         if state is not None:
-            state.sharers.discard(core)
+            state.sharers &= ~(1 << core)
 
     def flush_block_to_memory(self, block: int) -> bool:
         """Force the owner token (and dirty data) back to memory.
@@ -232,15 +255,19 @@ class TokenRegistry:
         VM-private domain invariant.
         """
         state = self._blocks.pop(block, None)
-        return set(state.sharers) if state is not None else set()
+        return set(cores_of(state.sharers)) if state is not None else set()
 
     def assign_provider(self, block: int, vm_id: int, core: int) -> None:
         """Explicitly designate ``core`` as the provider of ``block`` for VM."""
-        self._get_or_create(block).providers[vm_id] = core
+        state = self._get_or_create(block)
+        if state.providers is None:
+            state.providers = {}
+        state.providers[vm_id] = core
 
     def blocks_cached_by(self, core: int) -> Iterable[int]:
         """All blocks whose registry state includes ``core`` (slow; tests)."""
-        return [b for b, s in self._blocks.items() if core in s.sharers]
+        bit = 1 << core
+        return [b for b, s in self._blocks.items() if s.sharers & bit]
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -47,7 +47,7 @@ from typing import (
 
 from repro.cache.setassoc import CompositeObserver
 from repro.coherence.plan import RequestPlan
-from repro.coherence.registry import MEMORY
+from repro.coherence.registry import MEMORY, cores_of
 from repro.core.clock import SimClock
 from repro.core.filter import SnoopPolicy, VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
@@ -378,7 +378,7 @@ class CoherenceSanitizer:
         """(c) registry record for ``block`` agrees with the true holders."""
         state = self._registry.state_of(block)
         holders = self._holders.get(block, EMPTY)
-        sharers = state.sharers if state is not None else EMPTY
+        sharers = cores_of(state.sharers) if state is not None else []
         if set(sharers) != set(holders):
             self.report(
                 SanitizerViolation(
@@ -393,7 +393,7 @@ class CoherenceSanitizer:
             return
         if state is None:
             return
-        if state.owner != MEMORY and state.owner not in state.sharers:
+        if state.owner != MEMORY and state.owner not in sharers:
             self.report(
                 SanitizerViolation(
                     SanitizerCheck.STATE,
@@ -429,7 +429,7 @@ class CoherenceSanitizer:
         if plan.ro_shared and not is_write:
             return 1
         state = self._registry.state_of(block)
-        sharers = state.sharers if state is not None else EMPTY
+        sharers = cores_of(state.sharers) if state is not None else []
         owner = state.owner if state is not None else MEMORY
         for index, destinations in enumerate(plan.attempts):
             if is_write:
@@ -506,7 +506,8 @@ class CoherenceSanitizer:
         registry = self._registry
         for block, state in registry._blocks.items():
             holders = true_holders.get(block, set())
-            if set(state.sharers) != holders:
+            sharers = cores_of(state.sharers)
+            if set(sharers) != holders:
                 self.report(
                     SanitizerViolation(
                         SanitizerCheck.STATE,
@@ -514,10 +515,10 @@ class CoherenceSanitizer:
                         cycle=cycle,
                         block=block,
                         holders=holders,
-                        details={"sharers": sorted(state.sharers)},
+                        details={"sharers": sharers},
                     )
                 )
-            if state.owner != MEMORY and state.owner not in state.sharers:
+            if state.owner != MEMORY and state.owner not in sharers:
                 self.report(
                     SanitizerViolation(
                         SanitizerCheck.STATE,

@@ -38,10 +38,12 @@ sample, the end of a phase), it holds exactly the value the reference
 loop gives it. The loop updates counters in the reference order; the
 only rewrites are call-free spellings of identical operations (``in`` +
 subscript for ``dict.get``, ``del d[k]; d[k] = v`` for the LRU touch,
-``state.sharers == {core}`` for the len/in pair, hoisted geometry
-constants and per-core set lists, the phase budget carried inside the
-heap tuples, and ``heapreplace``/local-min scheduling that provably
-pops the same (time, seq) sequence as push-then-pop). One deliberate
+mask tests on the registry's core-bitmask sharer sets, with
+``state.sharers == core_bits[core]`` for "this core is the only
+sharer", hoisted geometry constants and per-core set lists, the phase
+budget carried inside the heap tuples, and ``heapreplace``/local-min
+scheduling that provably pops the same (time, seq) sequence as
+push-then-pop). One deliberate
 exception: the bulk-miss seam defers its per-transaction counters
 (transactions and snoops, by initiator and page type, and the GETS and
 GETM counts) to per-transaction-class tallies. It adds them to the
@@ -51,9 +53,10 @@ between: the sanitizer and the tracer, which read counters mid-phase,
 turn the seam off.
 
 Allocation: the seam's retired L2 victim and L1 lines, the L1 line an
-L2-hit promote evicts, and registry records the seam retires are reused
-for the blocks that replace them, after every field still needed from
-the old block has been read.
+L2-hit promote evicts, and registry records the seam retires (bare
+records: an int sharer mask and no provider table) are reused for the
+blocks that replace them, after every field still needed from the old
+block has been read.
 """
 
 from __future__ import annotations
@@ -63,7 +66,12 @@ from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Tuple
 
 from repro.cache.line import CacheLine
-from repro.coherence.registry import GLOBAL_PROVIDER, MEMORY, BlockState
+from repro.coherence.registry import (
+    GLOBAL_PROVIDER,
+    MEMORY,
+    BlockState,
+    mask_of,
+)
 from repro.core.filter import VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
 from repro.hypervisor.vm import DOM0_VM_ID
@@ -182,6 +190,8 @@ class BatchedEngine(SimulationEngine):
         l1_ways = any_hierarchy._l1_ways
         l1_latency = any_hierarchy.l1_latency
         l12_latency = l1_latency + any_hierarchy.l2_latency
+        # Registry sharer sets are core bitmasks (bit c = core c).
+        core_bits = [1 << core for core in range(len(caches))]
 
         # --- bulk-miss seam (DESIGN §6) ------------------------------
         # Commits a transaction inline instead of descending through
@@ -285,8 +295,9 @@ class BatchedEngine(SimulationEngine):
                 res_on_low.append(tracker.on_low)
                 res_thresholds.append(tracker.threshold)
             # (core, vm_id, page_type, initiator) -> [plan, attempt-0
-            # frozenset, multicast count, total hops, worst hops, snoops
-            # per transaction, GETS tally, GETM tally].
+            # mask, multicast count, total hops, worst hops, snoops per
+            # transaction, GETS tally, GETM tally, intra-domain mask,
+            # friend-domain mask] (the last two for Table VI).
             memo: Dict[tuple, list] = {}
             memo_version = domains.version
             # Registry records retired by the seam, reused before any
@@ -342,35 +353,34 @@ class BatchedEngine(SimulationEngine):
                 if entry is None:
                     plan = plan_fn(core, vm_id, page_type, block)
                     attempt = plan.attempts[0]
-                    destinations = as_frozenset(attempt)
                     entry = memo[key] = [
                         plan,
-                        destinations,
-                        *aggregate_hops(core, destinations),
+                        mask_of(attempt),
+                        *aggregate_hops(core, as_frozenset(attempt)),
                         len(attempt),
                         0,
                         0,
+                        mask_of(plan.stats_intra_domain),
+                        mask_of(plan.stats_friend_domain),
                     ]
                 (
-                    plan, destinations, mc_count, mc_total_hops, worst_hops,
-                    _, _, _,
+                    plan, dest_mask, mc_count, mc_total_hops, worst_hops,
+                    _, _, _, intra_mask, friend_mask,
                 ) = entry
+                core_bit = core_bits[core]
                 state = reg_blocks.get(block)
                 owner = state.owner if state is not None else memory_holder
                 if is_write:
                     # _try_getm's success test: attempt 0 reaches every
                     # other sharer and any cache owner.
-                    contended = state is not None and (
-                        owner != memory_holder
-                        and owner != core
-                        and owner not in destinations
-                    )
-                    if state is not None and not contended:
-                        for sharer in state.sharers:
-                            if sharer != core and sharer not in destinations:
-                                contended = True
-                                break
-                    if contended:
+                    if state is not None and (
+                        state.sharers & ~(dest_mask | core_bit)
+                        or (
+                            owner != memory_holder
+                            and owner != core
+                            and not (dest_mask >> owner) & 1
+                        )
+                    ):
                         reason = (
                             "getm-contended"
                             if l2_set is not None
@@ -380,7 +390,7 @@ class BatchedEngine(SimulationEngine):
                         return -1
                 elif (
                     owner != memory_holder
-                    and owner not in destinations
+                    and not (dest_mask >> owner) & 1
                     and not ro_read
                 ):
                     # (RO-shared reads never fail: memory is clean.)
@@ -410,37 +420,30 @@ class BatchedEngine(SimulationEngine):
                     if ro_read:
                         # Inlined _record_ro_holders (Table VI).
                         cstats.ro_misses += 1
-                        sharers = state.sharers if state is not None else ()
-                        if not sharers or (
-                            len(sharers) == 1 and core in sharers
-                        ):
+                        holders = (
+                            state.sharers & ~core_bit
+                            if state is not None
+                            else 0
+                        )
+                        if not holders:
                             cstats.ro_holder_memory_only += 1
                         else:
                             cstats.ro_holder_any_cache += 1
-                            intra = plan.stats_intra_domain
-                            friend = plan.stats_friend_domain
-                            for sharer in sharers:
-                                if sharer != core and sharer in intra:
-                                    cstats.ro_holder_intra_vm += 1
-                                    break
-                            else:
-                                for sharer in sharers:
-                                    if sharer != core and sharer in friend:
-                                        cstats.ro_holder_friend_vm += 1
-                                        break
+                            if holders & intra_mask:
+                                cstats.ro_holder_intra_vm += 1
+                            elif holders & friend_mask:
+                                cstats.ro_holder_friend_vm += 1
                 # A block the registry has never seen gets its record
                 # now; no registry insertion lies between here and the
                 # reference path's grant, and a fresh record reads like
                 # an absent one to every test below.
                 if state is None:
                     if records:
-                        # Back to BlockState() defaults (sharers is
-                        # empty by the retire test). clear() also frees
-                        # the table a deleted provider leaves behind.
+                        # The retire test left sharers 0, owner MEMORY
+                        # and providers None: BlockState() defaults but
+                        # for dirty.
                         state = records.pop()
-                        state.owner = memory_holder
                         state.dirty = False
-                        state.providers.clear()
                     else:
                         state = block_state()
                     reg_blocks[block] = state
@@ -454,18 +457,17 @@ class BatchedEngine(SimulationEngine):
                 # fastest reachable provider copy, everything else comes
                 # from memory or the owner's cache ----
                 completion = None
-                victims = ()
+                victims = 0
                 if is_write:
                     # grant_exclusive (it precedes the data leg in
                     # _try_getm); invalidations follow the data leg.
                     sharers = state.sharers
-                    had_copy = core in sharers
-                    if sharers and not (len(sharers) == 1 and had_copy):
-                        victims = sorted(c for c in sharers if c != core)
-                    state.sharers = {core}
+                    had_copy = sharers & core_bit
+                    victims = sharers ^ had_copy
+                    state.sharers = core_bit
                     state.owner = core
                     state.dirty = True
-                    state.providers.clear()
+                    state.providers = None
                     if had_copy:
                         cstats.upgrades += 1
                         completion = 0
@@ -475,11 +477,13 @@ class BatchedEngine(SimulationEngine):
                     # both the own-VM and the friend-VM provider pays
                     # for both copies); the fastest one serves.
                     providers = state.providers
-                    for provider_vm in plan.provider_vms:
+                    for provider_vm in (
+                        () if providers is None else plan.provider_vms
+                    ):
                         provider = providers.get(provider_vm)
                         if (
                             provider is not None
-                            and provider in destinations
+                            and (dest_mask >> provider) & 1
                             and provider != core
                         ):
                             back = hops_tbl[provider][core]
@@ -535,14 +539,21 @@ class BatchedEngine(SimulationEngine):
                 # ---- registry grant (reads) / invalidations (GETM) ----
                 if ro_read:
                     # grant_shared(vm_id=...): both setdefaults, in order.
-                    state.sharers.add(core)
+                    state.sharers |= core_bit
                     providers = state.providers
-                    providers.setdefault(vm_id, core)
-                    providers.setdefault(global_provider, core)
+                    if providers is None:
+                        state.providers = {vm_id: core, global_provider: core}
+                    else:
+                        providers.setdefault(vm_id, core)
+                        providers.setdefault(global_provider, core)
                 elif is_write:
-                    # Sorted invalidations (see _try_getm): each fires
-                    # the victim core's residence on_low, then its ACK.
-                    for victim_core in victims:
+                    # Sorted invalidations (see _try_getm), i.e. in
+                    # ascending bit order: each fires the victim core's
+                    # residence on_low, then its ACK.
+                    while victims:
+                        low = victims & -victims
+                        victims ^= low
+                        victim_core = low.bit_length() - 1
                         victim_hierarchy = caches.get(victim_core)
                         if victim_hierarchy is not None:
                             victim_hierarchy.invalidate(block)
@@ -560,15 +571,15 @@ class BatchedEngine(SimulationEngine):
                         if leg > completion:
                             completion = leg
                 elif owner != memory_holder:
-                    state.sharers.add(core)
+                    state.sharers |= core_bit
                 elif not state.sharers:
                     # MOESI E state (grant_exclusive, dirty=False).
-                    state.sharers = {core}
+                    state.sharers = core_bit
                     state.owner = core
                     state.dirty = False
-                    state.providers.clear()
+                    state.providers = None
                 else:
-                    state.sharers.add(core)
+                    state.sharers |= core_bit
                 # ---- fill (a store upgrade's line is resident: no
                 # fill; dirty == is_write here: fill_dirty is True
                 # exactly for GETM, where is_write is True already) ----
@@ -623,13 +634,15 @@ class BatchedEngine(SimulationEngine):
                     # latency is discarded by the reference too, so only
                     # its traffic is charged.
                     vstate = reg_blocks.get(victim_block)
-                    if vstate is not None and core in vstate.sharers:
-                        vsharers = vstate.sharers
-                        vsharers.discard(core)
-                        if vstate.providers:
-                            for pvm, prov in list(vstate.providers.items()):
+                    if vstate is not None and vstate.sharers & core_bit:
+                        vstate.sharers ^= core_bit
+                        vproviders = vstate.providers
+                        if vproviders is not None:
+                            for pvm, prov in list(vproviders.items()):
                                 if prov == core:
-                                    del vstate.providers[pvm]
+                                    del vproviders[pvm]
+                            if not vproviders:
+                                vstate.providers = None
                         if vstate.owner == core:
                             vstate.owner = memory_holder
                             if vstate.dirty or victim_dirty:
@@ -649,9 +662,9 @@ class BatchedEngine(SimulationEngine):
                                 msgs += 1
                                 fh += tr_flits * hops_tbl[core][mem_node]
                         if (
-                            not vsharers
+                            not vstate.sharers
                             and vstate.owner == memory_holder
-                            and not vstate.providers
+                            and vstate.providers is None
                         ):
                             del reg_blocks[victim_block]
                             if len(records) < 64:
@@ -759,7 +772,7 @@ class BatchedEngine(SimulationEngine):
                         if (
                             state is not None
                             and state.owner == core
-                            and state.sharers == {core}
+                            and state.sharers == core_bits[core]
                         ):
                             state.dirty = True
                         else:
@@ -805,7 +818,7 @@ class BatchedEngine(SimulationEngine):
                             if (
                                 state is not None
                                 and state.owner == core
-                                and state.sharers == {core}
+                                and state.sharers == core_bits[core]
                             ):
                                 state.dirty = True
                             else:

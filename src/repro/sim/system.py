@@ -17,7 +17,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 from repro.cache.hierarchy import PrivateHierarchy
 from repro.cache.line import CacheLine
 from repro.coherence.protocol import TokenProtocol
-from repro.coherence.registry import BlockState, TokenRegistry
+from repro.coherence.registry import (
+    MEMORY,
+    BlockState,
+    TokenRegistry,
+    cores_of,
+    mask_of,
+)
 from repro.core.filter import VirtualSnoopFilter
 from repro.hypervisor.hypervisor import Hypervisor, PlacementListener
 from repro.hypervisor.memory import HostPageInfo, MemoryManager
@@ -79,11 +85,13 @@ class CoherenceBridge(PlacementListener):
             state = self.registry.state_of(block)
             if state is None:
                 continue
+            # The dirty data travels from the owner's cache; the flush
+            # hands the owner token back to memory, so read it first.
+            owner = state.owner
             if self.registry.flush_block_to_memory(block):
-                owner = next(iter(state.sharers), None)
                 self.memory_ctrl.writeback()
                 self.stats.flush_writebacks += 1
-                if owner is not None:
+                if owner != MEMORY:
                     self.network.send(
                         owner, self.memory_ctrl.node, MessageKind.WRITEBACK
                     )
@@ -246,10 +254,10 @@ class SimulatedSystem:
         registry_blocks = [
             (
                 block,
-                sorted(state.sharers),
+                cores_of(state.sharers),
                 state.owner,
                 state.dirty,
-                list(state.providers.items()),
+                list(state.providers.items()) if state.providers else [],
             )
             for block, state in self.registry._blocks.items()
         ]
@@ -363,10 +371,11 @@ class SimulatedSystem:
         blocks.clear()
         for block, sharers, owner, dirty, providers in state["registry"]:
             record = BlockState()
-            record.sharers.update(sharers)
+            record.sharers = mask_of(sharers)
             record.owner = owner
             record.dirty = dirty
-            record.providers.update(providers)
+            if providers:
+                record.providers = dict(providers)
             blocks[block] = record
         if is_vsnoop:
             for core, counts in state["filter"]["residence"].items():

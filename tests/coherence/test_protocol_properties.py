@@ -49,14 +49,15 @@ def check_invariants(protocol):
         state = registry.state_of(block)
         if state is None:
             continue
+        sharers = registry.sharers_of(block)
         # The owner is a sharer or memory.
-        assert state.owner == MEMORY or state.owner in state.sharers
+        assert state.owner == MEMORY or state.owner in sharers
         # Every registry sharer holds the block in its L2 and vice versa.
         for core in range(NUM_CORES):
             cached = protocol.caches[core].l2.contains(block)
-            assert cached == (core in state.sharers), (
+            assert cached == (core in sharers), (
                 f"block {block}: cache[{core}]={cached} but sharers="
-                f"{state.sharers}"
+                f"{sorted(sharers)}"
             )
 
 

@@ -1,6 +1,15 @@
 """Tests for the token registry."""
 
-from repro.coherence.registry import GLOBAL_PROVIDER, MEMORY, TokenRegistry
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.coherence.registry import (
+    GLOBAL_PROVIDER,
+    MEMORY,
+    TokenRegistry,
+    cores_of,
+    mask_of,
+)
 
 
 class TestGrants:
@@ -110,3 +119,136 @@ class TestFlush:
         reg.grant_shared(1, 0x10)
         reg.invalidated(1, 0x10)
         assert reg.sharers_of(0x10) == set()
+
+
+class TestEncoding:
+    def test_one_sharer_record_holds_an_int_and_no_table(self):
+        reg = TokenRegistry()
+        reg.grant_shared(3, 0x10)
+        state = reg.state_of(0x10)
+        assert type(state.sharers) is int
+        assert state.providers is None
+
+    def test_provider_table_goes_when_its_last_designation_does(self):
+        reg = TokenRegistry()
+        reg.grant_shared(1, 0x10, vm_id=5)
+        reg.grant_shared(2, 0x10)
+        assert reg.state_of(0x10).providers == {5: 1, GLOBAL_PROVIDER: 1}
+        reg.evicted(1, 0x10, dirty=False)
+        assert reg.state_of(0x10).providers is None
+
+    def test_mask_round_trip_is_ascending(self):
+        cores = [143, 0, 7, 64]
+        assert cores_of(mask_of(cores)) == [0, 7, 64, 143]
+        assert cores_of(0) == []
+
+
+class SetModel:
+    """The registry as plain sets and dicts: the reference encoding."""
+
+    def __init__(self):
+        self.records = {}  # block -> [sharers, owner, dirty, providers]
+
+    def _record(self, block):
+        return self.records.setdefault(block, [set(), MEMORY, False, {}])
+
+    def grant_shared(self, core, block, vm_id=None):
+        record = self._record(block)
+        record[0].add(core)
+        if vm_id is not None:
+            record[3].setdefault(vm_id, core)
+            record[3].setdefault(GLOBAL_PROVIDER, core)
+
+    def grant_exclusive(self, core, block, dirty=True):
+        record = self._record(block)
+        invalidate = record[0] - {core}
+        record[:] = [{core}, core, dirty, {}]
+        return invalidate
+
+    def evicted(self, core, block, dirty):
+        record = self.records.get(block)
+        if record is None or core not in record[0]:
+            return "none"
+        sharers, owner, was_dirty, providers = record
+        sharers.discard(core)
+        for vm_id in [v for v, c in providers.items() if c == core]:
+            del providers[vm_id]
+        outcome = "token_return"
+        if owner == core:
+            record[1] = MEMORY
+            if was_dirty or dirty:
+                outcome = "writeback"
+                record[2] = False
+        if not sharers and record[1] == MEMORY and not providers:
+            del self.records[block]
+        return outcome
+
+    def invalidated(self, core, block):
+        record = self.records.get(block)
+        if record is not None:
+            record[0].discard(core)
+
+    def drop_block(self, block):
+        record = self.records.pop(block, None)
+        return set(record[0]) if record is not None else set()
+
+    def assign_provider(self, block, vm_id, core):
+        self._record(block)[3][vm_id] = core
+
+
+BLOCKS = range(2)
+VMS = range(3)
+
+
+def registry_ops(cores):
+    """Random registry operations on ``cores`` and two blocks."""
+    blocks = st.sampled_from(BLOCKS)
+    vm_ids = st.sampled_from(VMS)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("grant_shared"), cores, blocks, st.none() | vm_ids
+            ),
+            st.tuples(st.just("grant_exclusive"), cores, blocks, st.booleans()),
+            st.tuples(st.just("evicted"), cores, blocks, st.booleans()),
+            st.tuples(st.just("invalidated"), cores, blocks),
+            st.tuples(st.just("drop_block"), blocks),
+            st.tuples(st.just("assign_provider"), blocks, vm_ids, cores),
+        ),
+        min_size=10,
+        max_size=60,
+    )
+
+
+# Each example draws a few cores of the 9-socket consolidation geometry
+# (0-143) and runs every operation on them, so most operations meet a
+# core an earlier one touched.
+core_pools = st.lists(st.integers(0, 143), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(core_pools.flatmap(lambda pool: registry_ops(st.sampled_from(pool))))
+def test_property_masks_agree_with_the_set_model(ops):
+    reg = TokenRegistry()
+    model = SetModel()
+    for name, *args in ops:
+        assert getattr(reg, name)(*args) == getattr(model, name)(*args), name
+        assert len(reg) == len(model.records)
+        for block in BLOCKS:
+            state = reg.state_of(block)
+            record = model.records.get(block)
+            assert (state is None) == (record is None), (name, block)
+            assert reg.sharers_of(block) == (record[0] if record else set())
+            assert reg.owner_of(block) == (record[1] if record else MEMORY)
+            for vm_id in (*VMS, GLOBAL_PROVIDER):
+                assert reg.provider_for_vm(block, vm_id) == (
+                    record[3].get(vm_id) if record else None
+                )
+            if state is not None:
+                assert state.dirty == record[2]
+                # Same provider order (snapshots write it), and no empty
+                # table left behind.
+                assert state.providers is None or state.providers
+                assert list((state.providers or {}).items()) == list(
+                    record[3].items()
+                )

@@ -137,7 +137,7 @@ def test_tracker_corruption_raises_residence_violation():
 def test_registry_corruption_raises_state_violation():
     system = run_small()
     block, state = next(iter(system.registry._blocks.items()))
-    state.sharers.add(max(system.caches) + 7)  # a core that holds nothing
+    state.sharers |= 1 << (max(system.caches) + 7)  # a core that holds nothing
     with pytest.raises(SanitizerViolation) as exc:
         system.sanitizer.audit()
     assert exc.value.check is SanitizerCheck.STATE

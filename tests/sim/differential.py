@@ -17,9 +17,11 @@ from repro.sim.system import build_system
 from repro.workloads.profiles import PROFILES
 
 
-def run_system(config: SimConfig, app: str = "fft"):
-    """Build and run ``config``; returns ``(system, engine)``."""
-    system = build_system(config, PROFILES[app])
+def run_system(config: SimConfig, app="fft"):
+    """Build and run ``config`` on ``app`` (a profile name or a profile);
+    returns ``(system, engine)``."""
+    profile = PROFILES[app] if isinstance(app, str) else app
+    system = build_system(config, profile)
     engine = engine_for(system)
     engine.run()
     return system, engine
@@ -33,7 +35,7 @@ def end_state(system) -> tuple:
     )
 
 
-def assert_identical(config: SimConfig, app: str = "fft") -> None:
+def assert_identical(config: SimConfig, app="fft") -> None:
     """Run ``config`` under both kernels and compare their end states."""
     reference, _ = run_system(replace(config, kernel="reference"), app)
     batched, _ = run_system(replace(config, kernel="batched"), app)

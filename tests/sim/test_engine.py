@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.registry import cores_of
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.mem.pagetype import PageType
 from repro.sim import SimConfig, SimulationEngine, build_system, run_simulation
@@ -49,7 +50,7 @@ class TestRegistryCacheConsistency:
         for core, hierarchy in system.caches.items():
             for line in hierarchy.l2.lines():
                 state = system.registry.state_of(line.block)
-                assert state is not None and core in state.sharers, (
+                assert state is not None and core in cores_of(state.sharers), (
                     f"core {core} caches block {line.block:#x} unknown to registry"
                 )
 

@@ -7,7 +7,8 @@ metrics samples landing in the middle of a bulk run, dirty, cross-VM
 and untracked victims retired inline, RW-shared hypervisor/dom0
 misses, RO-shared content reads under every content policy, contended
 GETMs whose invalidations fire residence-counter removals, L1- and
-L2-hit store upgrades, mid-phase deadlines for calibrated and suite
+L2-hit store upgrades, copy-on-write of a page whose read memoised it
+RO-shared, mid-phase deadlines for calibrated and suite
 workloads alike, sanitized runs and any L2 observer other than a bare
 residence tracker disabling the seam entirely, cache lines and
 registry records the seam reuses ending up in exactly one place, and
@@ -354,6 +355,48 @@ class TestInlineHardCases:
         # The speculative watermark also fails first attempts: those
         # GETMs (and only those) stay on the reference path.
         assert engine.bulk_summary()["bailouts"]["getm-contended"] > 0
+
+    def test_store_to_read_content_page_takes_cow_on_memo_hit(self):
+        # A guest read of a content-shared page memoises its RO-shared
+        # translation; a later store to the page finds that memo entry
+        # and takes the loop's copy-on-write branch. The last VM to copy
+        # a page frees it, which drops its blocks' registry records,
+        # provider tables included.
+        profile = replace(PROFILES["canneal"], content_write_fraction=0.05)
+        config = SimConfig(
+            content_sharing_enabled=True,
+            accesses_per_vcpu=3000,
+            warmup_accesses_per_vcpu=500,
+        )
+        reference, _ = run_system(replace(config, kernel="reference"), profile)
+        system = build_system(replace(config, kernel="batched"), profile)
+        engine = engine_for(system)
+        memo = engine._xlate_memo
+        write_to_page = engine._write_to_page
+        registry = system.registry
+        drop_block = registry.drop_block
+        memo_hit_cows = 0
+        dropped_tables = 0
+
+        def probed_write(vm_id, guest_page):
+            nonlocal memo_hit_cows
+            entry = memo[vm_id].get(guest_page)
+            memo_hit_cows += entry is not None and entry[1] is PageType.RO_SHARED
+            return write_to_page(vm_id, guest_page)
+
+        def probed_drop(block):
+            nonlocal dropped_tables
+            state = registry.state_of(block)
+            dropped_tables += state is not None and state.providers is not None
+            return drop_block(block)
+
+        engine._write_to_page = probed_write
+        registry.drop_block = probed_drop
+        engine.run()
+        assert memo_hit_cows > 0
+        assert system.hypervisor.memory.cow_faults >= memo_hit_cows
+        assert dropped_tables > 0
+        assert_same_end_state(system, reference)
 
     def test_store_upgrades_commit_inline(self):
         runs = assert_identical_residence(

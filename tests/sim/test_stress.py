@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.coherence.registry import cores_of
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.sim import SimConfig, SimulationEngine, build_system
 from repro.workloads import get_profile
@@ -55,7 +56,7 @@ def test_stress_all_features(policy):
     for core, hierarchy in system.caches.items():
         for line in hierarchy.l2.lines():
             state = system.registry.state_of(line.block)
-            assert state is not None and core in state.sharers
+            assert state is not None and core in cores_of(state.sharers)
     # Residence counters stayed exact.
     for core, hierarchy in system.caches.items():
         actual = {}

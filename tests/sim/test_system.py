@@ -1,11 +1,16 @@
 """Tests for the full-system builder."""
 
+from repro.coherence.registry import MEMORY, TokenRegistry
 from repro.core.filter import SnoopPolicy
 from repro.hypervisor.memory import MemoryManager
+from repro.interconnect.messages import MessageKind
+from repro.mem.address import AddressLayout
+from repro.mem.controller import MemoryController
 from repro.mem.pagetype import PageType
 from repro.mem.physical import HostMemory
 from repro.sim.config import SimConfig
-from repro.sim.system import compute_friends, build_system
+from repro.sim.stats import SimStats
+from repro.sim.system import CoherenceBridge, compute_friends, build_system
 from repro.workloads import get_profile
 
 
@@ -91,3 +96,32 @@ class TestComputeFriends:
         )
         assert friends[1] == 3  # phase 5 nearer than phase 100
         assert friends[3] == 1
+
+
+class RecordingNetwork:
+    def __init__(self):
+        self.sends = []
+
+    def send(self, src, dst, kind, cycle=0):
+        self.sends.append((src, dst, kind))
+        return 0
+
+
+class TestCoherenceBridge:
+    def test_page_share_writeback_is_sent_by_the_owner(self):
+        registry = TokenRegistry()
+        memory_ctrl = MemoryController(node=3)
+        network = RecordingNetwork()
+        layout = AddressLayout()
+        stats = SimStats()
+        bridge = CoherenceBridge(registry, memory_ctrl, network, layout, stats)
+        block = layout.block_in_page(5, 0)
+        # Core 6 owns the dirty block (O state); core 1 shares a copy.
+        registry.grant_exclusive(6, block)
+        registry.grant_shared(1, block)
+        bridge.on_page_shared(5)
+        assert network.sends == [(6, 3, MessageKind.WRITEBACK)]
+        assert memory_ctrl.writebacks == 1
+        assert stats.flush_writebacks == 1
+        assert registry.owner_of(block) == MEMORY
+        assert registry.sharers_of(block) == {1, 6}
