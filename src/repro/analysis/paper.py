@@ -1,8 +1,8 @@
 """The paper's reported numbers, as structured constants.
 
-Single source of truth for "what did the paper measure", used by the
-calibration tests, the report generator, and EXPERIMENTS.md. Values are
-transcribed from Kim, Kim & Huh, MICRO 2010.
+Single source of truth for "what did the paper measure", checked by the
+calibration tests and quoted in EXPERIMENTS.md. Values are transcribed
+from Kim, Kim & Huh, MICRO 2010.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ class TokenProtocol:
         if owner == MEMORY:
             latency = self._memory_read_latency(core, cycle)
             self.stats.memory_sourced += 1
-            if not self.registry.sharers_of(block):
+            if not self.registry.is_cached_anywhere(block):
                 # MOESI E state: the sole copy receives all tokens clean,
                 # so a subsequent first store upgrades silently.
                 self.registry.grant_exclusive(core, block, dirty=False)

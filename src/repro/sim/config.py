@@ -130,6 +130,10 @@ class SimConfig:
             raise ValueError("migration_period_ms must be positive")
         if self.num_vms < 1:
             raise ValueError("need at least one VM")
+        for name in ("accesses_per_vcpu", "warmup_accesses_per_vcpu"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.filter_kind not in ("vsnoop", "regionscout"):
             raise ValueError(f"unknown filter_kind {self.filter_kind!r}")
         if self.sanitize_mode not in ("raise", "count"):

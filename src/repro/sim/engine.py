@@ -191,13 +191,16 @@ class SimulationEngine:
             self._tracer.begin_measurement(start)
         if self._metrics is not None:
             self._next_sample = self._metrics.begin(start)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            clocks = self._run_phase(clocks, budget, migrate=True)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        # As in warm(): a phase steps every vCPU at least once, so a
+        # zero budget skips it, and the collector pauses around it.
+        if budget > 0:
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                clocks = self._run_phase(clocks, budget, migrate=True)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         self.stats.execution_cycles = max(clocks) - start
         self._finalise()
 

@@ -15,23 +15,29 @@ reference engine's own per-access stepper closure
 workload's RNG draws in the identical, engine-interleaved order. The
 loop around it is still batched control flow with a call-free body.
 
-Every coherence-visible event — a miss, a non-silent store, an eviction,
-COW, a migration window, a metrics sample — *bails out* to the same
-reference machinery (``self._transact``, ``self._maybe_migrate``,
-``metrics.sample``), so the sanitizer, the tracer and every observer see
-an unchanged event stream. One exception, and only when no observer is
-attached: the *bulk-miss seam* commits a transaction inline whenever its
-first transient attempt succeeds against current registry state — a
-private or RW-shared miss, an RO-shared content read (provider scan and
-Table VI bookkeeping included), a contended GETM with its invalidations,
-or an L1/L2-hit store upgrade — whatever its replacement victim (dirty,
-another VM's, or an untracked hypervisor/dom0 line). The seam replays
-the reference path's state mutations in their exact order; only a
-failed first attempt (a retry ladder) or an RO-shared write still bails
-to ``_transact``. A per-reason bail-out histogram
-(``BatchedEngine.bail_reasons``) records why transactions stayed on the
-reference path; it lives on the engine, never on ``SimStats``, which
-stays byte-identical across kernels by contract.
+Every access makes one decision, as in the reference ``_step``: after
+the L1/L2 probe, a miss or a store hit that is not silent reaches the
+loop's single coherence-transaction site. Every coherence-visible event
+— that transaction, COW, a migration window, a metrics sample — goes to
+the same reference machinery (``self._transact``,
+``self._maybe_migrate``, ``metrics.sample``), so the sanitizer, the
+tracer and every observer see an unchanged event stream. One exception,
+and only when no observer is attached: the *bulk-miss seam* commits a
+transaction inline whenever its first transient attempt succeeds
+against current registry state — a private or RW-shared miss, an
+RO-shared content read (provider scan and Table VI bookkeeping
+included), a contended GETM with its invalidations, or an L1/L2-hit
+store upgrade — whatever its replacement victim (dirty, another VM's,
+or an untracked hypervisor/dom0 line). The seam replays the reference
+path's state mutations in their exact order; only a failed first
+attempt (a retry ladder) still bails to ``_transact``. A per-reason
+bail-out histogram (``BatchedEngine.bail_reasons``) records why
+transactions stayed on the reference path; it lives on the engine,
+never on ``SimStats``, which stays byte-identical across kernels by
+contract. The seam holds no branch for a case no run reaches (an
+RO-shared store, a read miss by the block's owner):
+``tests/sim/test_kernel_reachability.py`` fails when a line of the
+loop, the seam or its flush goes unexecuted.
 
 Stats-ordering invariant: whenever a counter can be read (a metrics
 sample, the end of a phase), it holds exactly the value the reference
@@ -207,8 +213,8 @@ class BatchedEngine(SimulationEngine):
         # their exact order (it calls the same window, invalidate and
         # residence-hook primitives, so window rollovers, removals and
         # LRU orders land identically). A failed first attempt (a retry
-        # ladder) or an RO-shared write returns -1, and the caller falls
-        # back to the reference _transact.
+        # ladder) returns -1, and the caller falls back to the reference
+        # _transact.
         #
         # What a commit does not repeat:
         # - the plan. Transaction classes (core, vm_id, page_type,
@@ -340,10 +346,11 @@ class BatchedEngine(SimulationEngine):
             ):
                 nonlocal memo_version, last_u, contention
                 # ---- eligibility (pure: no counters, no mutation) ----
+                # A store never reaches here on an RO-shared page: guest
+                # stores translate through write_to_page, which turns an
+                # RO-shared page into a private copy, and hypervisor and
+                # dom0 pages translate as RW-shared.
                 ro_read = page_type is ro_shared
-                if ro_read and is_write:
-                    bail["page-type"] = bail.get("page-type", 0) + 1
-                    return -1
                 if domains.version != memo_version:
                     flush()
                     memo.clear()
@@ -522,19 +529,19 @@ class BatchedEngine(SimulationEngine):
                     else:
                         # Cache-to-cache: the owner is inside attempt 0
                         # (request leg + snoop lookup + DATA leg back).
-                        if core == owner:
-                            completion = snoop_lookup
-                        else:
-                            back = hops_tbl[owner][core]
-                            msgs += 1
-                            fh += data_flits * back
-                            completion = (
-                                hops_tbl[core][owner] * per_hop
-                                + contention
-                                + snoop_lookup
-                                + back * per_hop
-                                + contention
-                            )
+                        # It is another core: a store by the owner holds
+                        # a copy (an upgrade), and every L2 eviction and
+                        # invalidation of a copy clears its ownership.
+                        back = hops_tbl[owner][core]
+                        msgs += 1
+                        fh += data_flits * back
+                        completion = (
+                            hops_tbl[core][owner] * per_hop
+                            + contention
+                            + snoop_lookup
+                            + back * per_hop
+                            + contention
+                        )
                         cstats.cache_to_cache += 1
                 # ---- registry grant (reads) / invalidations (GETM) ----
                 if ro_read:
@@ -643,24 +650,22 @@ class BatchedEngine(SimulationEngine):
                                     del vproviders[pvm]
                             if not vproviders:
                                 vstate.providers = None
+                        writeback = False
                         if vstate.owner == core:
+                            # The owner token goes home, with the data
+                            # when either copy is dirty.
                             vstate.owner = memory_holder
-                            if vstate.dirty or victim_dirty:
-                                vstate.dirty = False
-                                memory.writebacks += 1
-                                if core != mem_node:
-                                    msgs += 1
-                                    fh += wb_flits * hops_tbl[core][mem_node]
-                            else:
-                                memory.token_returns += 1
-                                if core != mem_node:
-                                    msgs += 1
-                                    fh += tr_flits * hops_tbl[core][mem_node]
+                            writeback = vstate.dirty or victim_dirty
+                            vstate.dirty = False
+                        if writeback:
+                            memory.writebacks += 1
+                            flits = wb_flits
                         else:
                             memory.token_returns += 1
-                            if core != mem_node:
-                                msgs += 1
-                                fh += tr_flits * hops_tbl[core][mem_node]
+                            flits = tr_flits
+                        if core != mem_node:
+                            msgs += 1
+                            fh += flits * hops_tbl[core][mem_node]
                         if (
                             not vstate.sharers
                             and vstate.owner == memory_holder
@@ -682,10 +687,9 @@ class BatchedEngine(SimulationEngine):
 
         clock = self.clock
         local_time = clock.now
-        if heap:
-            item = heappop(heap)
-        else:
-            item = None
+        # Never empty: every VM has at least one vCPU (VirtualMachine
+        # rejects zero).
+        item = heappop(heap)
         try:
             while item is not None:
                 local_time, _, index, count = item
@@ -752,7 +756,9 @@ class BatchedEngine(SimulationEngine):
 
                 l1_by_page_type[page_type] += 1
 
-                # ---- cache probe (reference order, call-free LRU) ----
+                # ---- cache probe (reference order, call-free LRU).
+                # A hit leaves l2_set None; a miss leaves the L2 set the
+                # transaction fills ----
                 l1_set = l1_sets_by_core[core][block & l1_mask]
                 if block in l1_set:
                     l1_line = l1_set[block]
@@ -760,43 +766,19 @@ class BatchedEngine(SimulationEngine):
                     l1_set[block] = l1_line
                     hierarchies[core].l1_hits += 1
                     latency = l1_latency
+                    l2_set = None
                     if is_write:
                         l1_line.dirty = True
                         l2_line = l2_sets_by_core[core][block & l2_mask][block]
                         l2_line.dirty = True
-                        # A silent store needs this core to be the block's
-                        # sole owner; anything else is a GETM upgrade.
-                        state = (
-                            reg_blocks[block] if block in reg_blocks else None
-                        )
-                        if (
-                            state is not None
-                            and state.owner == core
-                            and state.sharers == core_bits[core]
-                        ):
-                            state.dirty = True
-                        else:
-                            clock.now = local_time
-                            extra = -1
-                            if bulk is not None:
-                                extra = bulk(
-                                    core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, None, None, local_time,
-                                )
-                            if extra < 0:
-                                extra = transact(
-                                    core, vm_id, block, True, page_type,
-                                    initiator, vm_tag, hierarchies[core], True,
-                                )
-                            latency += extra
                 else:
+                    latency = l12_latency
                     l2_set = l2_sets_by_core[core][block & l2_mask]
                     if block in l2_set:
                         l2_line = l2_set[block]
                         del l2_set[block]
                         l2_set[block] = l2_line
-                        hierarchy = hierarchies[core]
-                        hierarchy.l2_hits += 1
+                        hierarchies[core].l2_hits += 1
                         if is_write:
                             l2_line.dirty = True
                         if len(l1_set) >= l1_ways:
@@ -808,55 +790,37 @@ class BatchedEngine(SimulationEngine):
                             l1_set[block] = l1_line
                         else:
                             l1_set[block] = CacheLine(block, vm_tag, is_write)
-                        latency = l12_latency
-                        if is_write:
-                            state = (
-                                reg_blocks[block]
-                                if block in reg_blocks
-                                else None
-                            )
-                            if (
-                                state is not None
-                                and state.owner == core
-                                and state.sharers == core_bits[core]
-                            ):
-                                state.dirty = True
-                            else:
-                                clock.now = local_time
-                                extra = -1
-                                if bulk is not None:
-                                    extra = bulk(
-                                        core, vm_id, block, True, page_type,
-                                        initiator, vm_tag, None, None,
-                                        local_time,
-                                    )
-                                if extra < 0:
-                                    extra = transact(
-                                        core, vm_id, block, True, page_type,
-                                        initiator, vm_tag, hierarchy, True,
-                                    )
-                                latency += extra
+                        l2_set = None
                     else:
-                        hierarchy = hierarchies[core]
-                        hierarchy.misses += 1
-                        clock.now = local_time
-                        if bulk is not None:
-                            extra = bulk(
-                                core, vm_id, block, is_write, page_type,
-                                initiator, vm_tag, l1_set, l2_set,
-                                local_time,
-                            )
-                            if extra < 0:
-                                extra = transact(
-                                    core, vm_id, block, is_write, page_type,
-                                    initiator, vm_tag, hierarchy, False,
-                                )
-                            latency = l12_latency + extra
-                        else:
-                            latency = l12_latency + transact(
-                                core, vm_id, block, is_write, page_type,
-                                initiator, vm_tag, hierarchy, False,
-                            )
+                        hierarchies[core].misses += 1
+
+                # ---- coherence transaction: a miss, or a store hit that
+                # is not silent (a silent store needs this core to be the
+                # block's sole owner; anything else is a GETM upgrade) ----
+                if l2_set is not None or (
+                    is_write
+                    and not (
+                        block in reg_blocks
+                        and (state := reg_blocks[block]).owner == core
+                        and state.sharers == core_bits[core]
+                    )
+                ):
+                    clock.now = local_time
+                    extra = -1
+                    if bulk is not None:
+                        extra = bulk(
+                            core, vm_id, block, is_write, page_type,
+                            initiator, vm_tag, l1_set, l2_set, local_time,
+                        )
+                    if extra < 0:
+                        extra = transact(
+                            core, vm_id, block, is_write, page_type,
+                            initiator, vm_tag, hierarchies[core],
+                            l2_set is None,
+                        )
+                    latency += extra
+                elif is_write:
+                    state.dirty = True
 
                 # ---- schedule (provably the reference pop order) -----
                 next_time = local_time + think + latency

@@ -1,16 +1,8 @@
-"""Tests for paper constants and the Markdown report generator."""
+"""Calibration checks on the paper's transcribed constants."""
 
 import pytest
 
 from repro.analysis import paper
-from repro.analysis.report import (
-    fig1_report,
-    markdown_table,
-    table1_report,
-    table4_report,
-    table5_report,
-    table6_report,
-)
 from repro.workloads import get_profile
 
 
@@ -44,42 +36,3 @@ class TestPaperConstants:
                 100.0, abs=1.1
             ), app
 
-
-class TestMarkdownTable:
-    def test_renders_pipes(self):
-        out = markdown_table(["a", "b"], [(1, 2)])
-        assert out.splitlines()[0] == "| a | b |"
-        assert out.splitlines()[1] == "|---|---|"
-        assert out.splitlines()[2] == "| 1 | 2 |"
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            markdown_table(["a"], [(1, 2)])
-
-
-class TestReports:
-    def test_fig1_report(self):
-        out = fig1_report({"dedup": {"guest": 90.0, "dom0": 7.0, "xen": 3.0}})
-        assert "dedup" in out and "11" in out and "10.0" in out
-
-    def test_table1_report(self):
-        out = table1_report(
-            {"dedup": {"under": {"relocation_period_ms": 5.0},
-                       "over": {"relocation_period_ms": 1.0}}}
-        )
-        assert "10.8 / 0.1" in out and "5.0 / 1.0" in out
-
-    def test_table4_report(self):
-        out = table4_report({"fft": {"traffic_reduction_pct": 64.5}})
-        assert "63.20" in out and "64.50" in out
-
-    def test_table5_report(self):
-        out = table5_report({"fft": {"l1_access_pct": 5.4, "l2_miss_pct": 31.0}})
-        assert "5.43 / 30.64" in out
-
-    def test_table6_report_skips_unlisted_apps(self):
-        out = table6_report({"ocean": {
-            "holder_cache_pct": 1, "holder_memory_pct": 99,
-            "holder_intra_pct": 0, "holder_friend_pct": 0,
-        }})
-        assert "ocean" not in out

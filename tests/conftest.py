@@ -12,6 +12,12 @@ import os
 import tempfile
 
 import pytest
+from hypothesis import settings
+
+# CI's kernel-differential job runs the kernel property test deeper:
+# ``pytest --hypothesis-profile=kernel-differential``. Only tests that
+# read this profile's example count change (see tests/sim/test_kernel.py).
+settings.register_profile("kernel-differential", max_examples=200)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -89,6 +89,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(migration_period_ms=0)
 
+    @pytest.mark.parametrize(
+        "budget", ["accesses_per_vcpu", "warmup_accesses_per_vcpu"]
+    )
+    def test_negative_budget(self, budget):
+        with pytest.raises(ValueError, match=budget):
+            SimConfig(**{budget: -5})
+
     def test_migration_period_cycles(self):
         config = SimConfig(migration_period_ms=2.5, cycles_per_ms=100_000)
         assert config.migration_period_cycles == 250_000

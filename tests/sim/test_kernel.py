@@ -133,6 +133,31 @@ class TestDifferential:
         )
 
 
+class TestAccessBudgets:
+    # A phase steps every vCPU at least once, so a zero measured budget
+    # must skip the phase rather than run it uncounted.
+    @pytest.mark.parametrize("kernel", ["reference", "batched"])
+    @pytest.mark.parametrize("warmup", [0, 200])
+    def test_zero_budget_measures_nothing(self, kernel, warmup):
+        system, _ = run_system(
+            replace(
+                BASE,
+                kernel=kernel,
+                accesses_per_vcpu=0,
+                warmup_accesses_per_vcpu=warmup,
+            )
+        )
+        stats = system.stats
+        assert stats.l1_accesses == 0
+        assert sum(stats.l1_accesses_by_page_type.values()) == 0
+        assert stats.total_transactions == 0
+        counters = {
+            (hierarchy.l1_hits, hierarchy.l2_hits, hierarchy.misses)
+            for hierarchy in system.caches.values()
+        }
+        assert counters == {(0, 0, 0)}
+
+
 class TestRefillEdges:
     def test_tiny_word_blocks(self):
         # Multi-vCPU VMs step per access while migration windows land
@@ -262,13 +287,30 @@ class TestTraceReplay:
             assert outputs["batched"][1] is not None  # exhaustion surfaced
 
 
-@settings(max_examples=8, deadline=None)
+# Tier-1 draws 8 examples; the kernel-differential CI job loads the
+# "kernel-differential" hypothesis profile (tests/conftest.py) and draws
+# that profile's count instead.
+_DEEP = settings.get_profile("kernel-differential")
+
+
+@settings(
+    max_examples=_DEEP.max_examples if settings.default is _DEEP else 8,
+    deadline=None,
+)
 @given(
     params=st.fixed_dictionaries(
         {
             "seed": st.integers(0, 2**16),
             "snoop_policy": st.sampled_from(list(SnoopPolicy)),
+            "content_policy": st.sampled_from(list(ContentPolicy)),
+            # 1024 sits above any per-core count: under
+            # counter-threshold, first attempts miss holders and retry.
+            "counter_threshold": st.sampled_from([3, 10, 1024]),
             "migration_period_ms": st.sampled_from([None, 0.05, 0.2]),
+            "metrics_sample_every": st.sampled_from([None, 1500]),
+            "suite": st.sampled_from([None, "backup-window", "cloud-mix"]),
+            # Down to a direct-mapped L2: a victim on nearly every miss.
+            "l2_ways": st.sampled_from([4, 2, 1]),
             "content_sharing_enabled": st.booleans(),
             "hypervisor_activity_enabled": st.booleans(),
         }
@@ -280,7 +322,6 @@ def test_property_batched_is_bit_identical(params):
         l1_size=1024,
         l1_ways=2,
         l2_size=4096,
-        l2_ways=4,
         working_set_scale=0.15,
         accesses_per_vcpu=400,
         warmup_accesses_per_vcpu=150,
