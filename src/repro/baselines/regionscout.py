@@ -57,7 +57,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.cache.line import CacheLine
 from repro.cache.setassoc import CacheObserver
 from repro.coherence.plan import RequestPlan
 from repro.hypervisor.hypervisor import PlacementListener
@@ -120,11 +119,11 @@ class RegionTracker(CacheObserver):
         # Multiplicative hashing spreads sequential regions across buckets.
         return (region * _HASH_MULTIPLIER) % self.crh_buckets
 
-    def on_insert(self, line: CacheLine) -> None:
+    def on_insert(self, block: int, vm_id: int) -> None:
         # Inlined _region_of/_bucket and the bucket memo: this observer
         # fires on every L2 insert, and the helper-call overhead is
         # measurable there.
-        region = line.block >> self.region_bits
+        region = block >> self.region_bits
         counts = self._region_counts
         count = counts.get(region, 0)
         counts[region] = count + 1
@@ -150,14 +149,14 @@ class RegionTracker(CacheObserver):
                 maps.bucket_cores[bucket].add(self.core)
                 maps.bucket_epochs[bucket] += 1
 
-    def on_evict(self, line: CacheLine) -> None:
-        self._remove(line)
+    def on_evict(self, block: int, vm_id: int) -> None:
+        self._remove(block)
 
-    def on_invalidate(self, line: CacheLine) -> None:
-        self._remove(line)
+    def on_invalidate(self, block: int, vm_id: int) -> None:
+        self._remove(block)
 
-    def _remove(self, line: CacheLine) -> None:
-        region = line.block >> self.region_bits
+    def _remove(self, block: int) -> None:
+        region = block >> self.region_bits
         counts = self._region_counts
         count = counts.get(region, 0)
         if count <= 0:

@@ -1,13 +1,16 @@
-"""Cache substrate: lines, set-associative arrays, per-core hierarchies."""
+"""Cache substrate: line tags, set-associative arrays, per-core hierarchies."""
 
 from repro.cache.hierarchy import AccessResult, PrivateHierarchy
-from repro.cache.line import CacheLine
-from repro.cache.setassoc import CacheObserver, SetAssociativeCache
+from repro.cache.line import make_tag, tag_dirty, tag_vm
+from repro.cache.setassoc import CacheObserver, Line, SetAssociativeCache
 
 __all__ = [
     "AccessResult",
-    "CacheLine",
     "CacheObserver",
+    "Line",
     "PrivateHierarchy",
     "SetAssociativeCache",
+    "make_tag",
+    "tag_dirty",
+    "tag_vm",
 ]

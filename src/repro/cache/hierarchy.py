@@ -6,6 +6,10 @@ inclusive in the L2: filling the L2 fills the L1, evicting or invalidating
 an L2 line removes any L1 copy. Only the L2 carries the virtual-snooping
 residence observer, matching the paper's per-L2 residence counters.
 
+Both levels hold int tags (:mod:`repro.cache.line`), not line objects:
+a line that leaves the hierarchy is reported as a ``(block, vm_id,
+dirty)`` tuple.
+
 Latencies follow Table II: 2-cycle L1, 10-cycle L2.
 """
 
@@ -13,8 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.line import CacheLine
-from repro.cache.setassoc import CacheObserver, SetAssociativeCache
+from repro.cache.setassoc import CacheObserver, Line, SetAssociativeCache
 
 
 class AccessResult:
@@ -91,49 +94,47 @@ class PrivateHierarchy:
         calls :meth:`fill`. The batched kernel spells the same operations,
         in the same order, on the set dicts directly.
         """
-        line = self.l1.lookup(block)
-        if line is not None:
+        if self.l1.lookup(block) is not None:
             self.l1_hits += 1
             if is_write:
-                line.dirty = True
+                self.l1.mark_dirty(block)
                 self.l2.mark_dirty(block)
             return self._l1_result
-        line = self.l2.lookup(block)
-        if line is not None:
+        if self.l2.lookup(block) is not None:
             self.l2_hits += 1
             if is_write:
-                line.dirty = True
+                self.l2.mark_dirty(block)
             self.l1.insert(block, vm_id, dirty=is_write)
             return self._l2_result
         self.misses += 1
         return self._miss_result
 
-    def fill(self, block: int, vm_id: int, dirty: bool = False) -> Optional[CacheLine]:
+    def fill(self, block: int, vm_id: int, dirty: bool = False) -> Optional[Line]:
         """Install ``block`` after a coherence transaction completed.
 
-        Returns the L2 victim line if the fill caused a replacement; the
-        caller is responsible for writing back dirty victims and returning
-        their tokens. Inclusion is enforced: the victim's L1 copy is
-        dropped silently.
+        Returns the L2 victim's ``(block, vm_id, dirty)`` if the fill
+        caused a replacement; the caller is responsible for writing back
+        dirty victims and returning their tokens. Inclusion is enforced:
+        the victim's L1 copy is dropped silently.
         """
         victim = self.l2.insert(block, vm_id, dirty=dirty)
         if victim is not None:
-            self.l1.invalidate(victim.block)
+            self.l1.invalidate(victim[0])
         self.l1.insert(block, vm_id, dirty=dirty)
         return victim
 
-    def invalidate(self, block: int) -> Optional[CacheLine]:
-        """Invalidate ``block`` in both levels (coherence invalidation)."""
+    def invalidate(self, block: int) -> Optional[Line]:
+        """Invalidate ``block`` in both levels (coherence invalidation).
+
+        Returns the L2 line's ``(block, vm_id, dirty)``, or ``None`` if
+        the block was not resident.
+        """
         self.l1.invalidate(block)
         return self.l2.invalidate(block)
 
     def contains(self, block: int) -> bool:
         """Whether ``block`` is resident (L2 inclusion makes L2 decisive)."""
         return self.l2.contains(block)
-
-    def is_dirty(self, block: int) -> bool:
-        line = self.l2.lookup(block, touch=False)
-        return line is not None and line.dirty
 
     @property
     def total_accesses(self) -> int:

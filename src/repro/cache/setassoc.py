@@ -1,15 +1,19 @@
 """Set-associative cache with true-LRU replacement.
 
-Each set is a plain ``dict`` from block number to :class:`CacheLine`;
-insertion order (guaranteed for dicts since Python 3.7) *is* the LRU
-order, least- to most-recently used. A recency touch is therefore a
-delete + reinsert, and the LRU victim is the first key in iteration
-order. Plain dicts beat ``OrderedDict`` here: the doubly-linked list
-``OrderedDict`` maintains costs ~2.5x per delete/reinsert pair, and the
-touch is the single hottest cache operation in the simulator.
+Each set is a plain ``dict`` from block number to the line's *tag*, an
+int carrying the allocating VM's id and the dirty bit
+(:mod:`repro.cache.line`); insertion order (guaranteed for dicts since
+Python 3.7) *is* the LRU order, least- to most-recently used. A recency
+touch is therefore a delete + reinsert, and the LRU victim is the first
+key in iteration order. Plain dicts beat ``OrderedDict`` here: the
+doubly-linked list ``OrderedDict`` maintains costs ~2.5x per
+delete/reinsert pair, and the touch is the single hottest cache
+operation in the simulator. Setting the dirty bit rewrites the value
+under an existing key, which leaves the order alone.
 
-An optional :class:`CacheObserver` receives insert/evict/invalidate
-events; the virtual-snooping residence counters
+A line that leaves a cache is reported as a ``(block, vm_id, dirty)``
+tuple (:data:`Line`). An optional :class:`CacheObserver` receives
+insert/evict/invalidate events; the virtual-snooping residence counters
 (:mod:`repro.core.residence`) are implemented as an observer so the
 cache substrate stays protocol-agnostic.
 
@@ -21,25 +25,29 @@ the end of each run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.cache.line import CacheLine
+from repro.cache.line import DIRTY, make_tag, tag_dirty, tag_vm
+
+Line = Tuple[int, int, bool]
+"""A line as ``(block, vm_id, dirty)``: a victim, or one of :meth:`lines`."""
 
 
 class CacheObserver:
     """Callback interface for cache content changes.
 
     Subclasses override any subset of the hooks. All hooks receive the
-    affected :class:`CacheLine` after the change has been applied.
+    affected block and the VM id its tag carries, after the change has
+    been applied.
     """
 
-    def on_insert(self, line: CacheLine) -> None:
+    def on_insert(self, block: int, vm_id: int) -> None:
         """Called after a new line becomes resident."""
 
-    def on_evict(self, line: CacheLine) -> None:
+    def on_evict(self, block: int, vm_id: int) -> None:
         """Called after a line is evicted by replacement."""
 
-    def on_invalidate(self, line: CacheLine) -> None:
+    def on_invalidate(self, block: int, vm_id: int) -> None:
         """Called after a line is invalidated by a coherence action."""
 
 
@@ -50,17 +58,17 @@ class CompositeObserver(CacheObserver):
     def __init__(self, *observers: CacheObserver) -> None:
         self.observers = list(observers)
 
-    def on_insert(self, line: CacheLine) -> None:
+    def on_insert(self, block: int, vm_id: int) -> None:
         for observer in self.observers:
-            observer.on_insert(line)
+            observer.on_insert(block, vm_id)
 
-    def on_evict(self, line: CacheLine) -> None:
+    def on_evict(self, block: int, vm_id: int) -> None:
         for observer in self.observers:
-            observer.on_evict(line)
+            observer.on_evict(block, vm_id)
 
-    def on_invalidate(self, line: CacheLine) -> None:
+    def on_invalidate(self, block: int, vm_id: int) -> None:
         for observer in self.observers:
-            observer.on_invalidate(line)
+            observer.on_invalidate(block, vm_id)
 
 
 class SetAssociativeCache:
@@ -85,7 +93,7 @@ class SetAssociativeCache:
         self.ways = ways
         self.block_size = block_size
         self.observer = observer
-        self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(num_sets)]
+        self._sets: List[Dict[int, int]] = [{} for _ in range(num_sets)]
         self._set_mask = num_sets - 1
 
     @classmethod
@@ -109,29 +117,29 @@ class SetAssociativeCache:
     def capacity_lines(self) -> int:
         return self.num_sets * self.ways
 
-    def _set_for(self, block: int) -> Dict[int, CacheLine]:
+    def _set_for(self, block: int) -> Dict[int, int]:
         return self._sets[block & self._set_mask]
 
-    def lookup(self, block: int, touch: bool = True) -> Optional[CacheLine]:
-        """Return the resident line for ``block``, or ``None`` on miss.
+    def lookup(self, block: int, touch: bool = True) -> Optional[int]:
+        """Return the resident tag for ``block``, or ``None`` on miss.
 
         ``touch`` updates LRU recency on a hit.
         """
         cache_set = self._sets[block & self._set_mask]
-        line = cache_set.get(block)
-        if line is not None and touch:
+        tag = cache_set.get(block)
+        if tag is not None and touch:
             del cache_set[block]
-            cache_set[block] = line
-        return line
+            cache_set[block] = tag
+        return tag
 
     def contains(self, block: int) -> bool:
         return block in self._set_for(block)
 
-    def insert(self, block: int, vm_id: int, dirty: bool = False) -> Optional[CacheLine]:
+    def insert(self, block: int, vm_id: int, dirty: bool = False) -> Optional[Line]:
         """Make ``block`` resident; return the evicted victim, if any.
 
-        If the block is already resident its metadata is refreshed in
-        place (no eviction, no insert event).
+        If the block is already resident its recency and dirty bit are
+        refreshed in place (no eviction, no insert event).
         """
         cache_set = self._sets[block & self._set_mask]
         existing = cache_set.get(block)
@@ -139,51 +147,44 @@ class SetAssociativeCache:
             # Refresh recency/dirtiness but keep the allocating VM's tag:
             # retagging would silently desynchronise the per-VM residence
             # counters that observe insert/evict events.
-            existing.dirty = existing.dirty or dirty
             del cache_set[block]
-            cache_set[block] = existing
+            cache_set[block] = existing | dirty
             return None
-        victim = None
+        victim: Optional[Line] = None
         if len(cache_set) >= self.ways:
-            victim = cache_set.pop(next(iter(cache_set)))
+            victim_block = next(iter(cache_set))
+            tag = cache_set.pop(victim_block)
+            victim_vm = tag_vm(tag)
+            victim = (victim_block, victim_vm, tag_dirty(tag))
             if self.observer is not None:
-                self.observer.on_evict(victim)
-        line = CacheLine(block, vm_id, dirty)
-        cache_set[block] = line
+                self.observer.on_evict(victim_block, victim_vm)
+        cache_set[block] = make_tag(vm_id, dirty)
         if self.observer is not None:
-            self.observer.on_insert(line)
+            self.observer.on_insert(block, vm_id)
         return victim
 
-    def invalidate(self, block: int) -> Optional[CacheLine]:
+    def invalidate(self, block: int) -> Optional[Line]:
         """Remove ``block`` if resident; return the removed line."""
-        cache_set = self._set_for(block)
-        line = cache_set.pop(block, None)
-        if line is not None and self.observer is not None:
-            self.observer.on_invalidate(line)
-        return line
+        tag = self._set_for(block).pop(block, None)
+        if tag is None:
+            return None
+        vm_id = tag_vm(tag)
+        if self.observer is not None:
+            self.observer.on_invalidate(block, vm_id)
+        return (block, vm_id, tag_dirty(tag))
 
     def mark_dirty(self, block: int) -> None:
         """Set the dirty bit of a resident block."""
-        line = self._set_for(block).get(block)
-        if line is None:
+        cache_set = self._set_for(block)
+        if block not in cache_set:
             raise KeyError(f"block {block:#x} not resident")
-        line.dirty = True
+        cache_set[block] |= DIRTY
 
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (unspecified order)."""
+    def lines(self) -> Iterator[Line]:
+        """Iterate over all resident lines (sets in order, each LRU first)."""
         for cache_set in self._sets:
-            yield from cache_set.values()
+            for block, tag in cache_set.items():
+                yield block, tag_vm(tag), tag_dirty(tag)
 
     def resident_count(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def lines_of_vm(self, vm_id: int) -> List[CacheLine]:
-        """All resident lines tagged with ``vm_id`` (for selective flush)."""
-        return [line for line in self.lines() if line.vm_id == vm_id]
-
-    def flush_vm(self, vm_id: int) -> List[CacheLine]:
-        """Invalidate every line of ``vm_id``; return the removed lines."""
-        removed = self.lines_of_vm(vm_id)
-        for line in removed:
-            self.invalidate(line.block)
-        return removed

@@ -296,43 +296,47 @@ def cmd_list_patterns() -> int:
     return 0
 
 
-def _config_from_args(args: argparse.Namespace):
+def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """The run's ``SimConfig``; an invalid one is a usage error (exit 2)."""
     from repro.sim import SimConfig
 
-    return SimConfig(
-        filter_kind=args.filter,
-        pattern=args.pattern,
-        suite=args.suite,
-        topology=args.topology,
-        num_cores=args.cores,
-        mesh_width=args.width,
-        mesh_height=args.height,
-        num_sockets=args.sockets,
-        inter_socket_hop_cost=args.inter_socket_hop_cost,
-        num_vms=args.vms,
-        vcpus_per_vm=args.vcpus,
-        snoop_policy=_POLICY_NAMES[args.policy],
-        content_policy=_CONTENT_NAMES[args.content_policy],
-        migration_period_ms=args.migration_ms,
-        content_sharing_enabled=args.content_sharing,
-        hypervisor_activity_enabled=args.hypervisor,
-        accesses_per_vcpu=args.accesses,
-        warmup_accesses_per_vcpu=args.warmup,
-        seed=args.seed,
-        sanitize=args.sanitize,
-        sanitize_mode=args.sanitize_mode,
-        trace=args.trace,
-        trace_format=args.trace_format,
-        metrics_sample_every=args.metrics_every,
-        kernel=args.kernel,
-    )
+    try:
+        return SimConfig(
+            filter_kind=args.filter,
+            pattern=args.pattern,
+            suite=args.suite,
+            topology=args.topology,
+            num_cores=args.cores,
+            mesh_width=args.width,
+            mesh_height=args.height,
+            num_sockets=args.sockets,
+            inter_socket_hop_cost=args.inter_socket_hop_cost,
+            num_vms=args.vms,
+            vcpus_per_vm=args.vcpus,
+            snoop_policy=_POLICY_NAMES[args.policy],
+            content_policy=_CONTENT_NAMES[args.content_policy],
+            migration_period_ms=args.migration_ms,
+            content_sharing_enabled=args.content_sharing,
+            hypervisor_activity_enabled=args.hypervisor,
+            accesses_per_vcpu=args.accesses,
+            warmup_accesses_per_vcpu=args.warmup,
+            seed=args.seed,
+            sanitize=args.sanitize,
+            sanitize_mode=args.sanitize_mode,
+            trace=args.trace,
+            trace_format=args.trace_format,
+            metrics_sample_every=args.metrics_every,
+            kernel=args.kernel,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.sim import SimTask, run_simulation_task
     from repro.sim.runner import prepare_task
 
-    config = _config_from_args(args)
+    config = _config_from_args(args, parser)
     task = SimTask(config, args.app)
     if args.trace is None and not args.sanitize:
         # Plain runs go through the result store (and the warm-state
@@ -458,7 +462,7 @@ def cmd_experiment(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
+def cmd_profile(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run one simulation under cProfile; print the top-N hotspots.
 
     The run is split at the measurement boundary so the report shows
@@ -474,7 +478,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.sim import SimTask
     from repro.sim.runner import run_cell
 
-    config = _config_from_args(args)
+    config = _config_from_args(args, parser)
     profiler = cProfile.Profile()
     profiler.enable()
     stats, report = run_cell(SimTask(config, args.app))
@@ -595,13 +599,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list-patterns":
         return cmd_list_patterns()
     if args.command == "run":
-        return cmd_run(args)
+        return cmd_run(args, parser)
     if args.command == "report":
         return cmd_report(args, parser)
     if args.command == "experiment":
         return cmd_experiment(args, parser)
     if args.command == "profile":
-        return cmd_profile(args)
+        return cmd_profile(args, parser)
     if args.command == "record-trace":
         return cmd_record_trace(args)
     raise AssertionError(f"unhandled command {args.command!r}")

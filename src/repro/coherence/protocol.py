@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cache.hierarchy import PrivateHierarchy
-from repro.cache.line import CacheLine
 from repro.coherence.plan import RequestPlan
 from repro.coherence.registry import MEMORY, TokenRegistry
 from repro.coherence.stats import CoherenceStats
@@ -271,9 +270,11 @@ class TokenProtocol:
     # Evictions (replacement victims leaving an L2).
     # ------------------------------------------------------------------
 
-    def handle_eviction(self, core: int, line: CacheLine, cycle: int = 0) -> None:
+    def handle_eviction(
+        self, core: int, block: int, dirty: bool, cycle: int = 0
+    ) -> None:
         """Return the victim's tokens (and dirty data) to memory."""
-        outcome = self.registry.evicted(core, line.block, line.dirty)
+        outcome = self.registry.evicted(core, block, dirty)
         if outcome == "writeback":
             self.memory.writeback()
             self.network.send(core, self.memory.node, MessageKind.WRITEBACK, cycle)

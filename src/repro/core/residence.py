@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.cache.line import CacheLine
 from repro.cache.setassoc import CacheObserver
 
 # vm_id used for lines brought in by the hypervisor / dom0; never tracked
@@ -65,19 +64,18 @@ class ResidenceTracker(CacheObserver):
     # CacheObserver interface.
     # ------------------------------------------------------------------
 
-    def on_insert(self, line: CacheLine) -> None:
-        if line.vm_id == UNTRACKED_VM:
+    def on_insert(self, block: int, vm_id: int) -> None:
+        if vm_id == UNTRACKED_VM:
             return
-        self._counts[line.vm_id] = self._counts.get(line.vm_id, 0) + 1
+        self._counts[vm_id] = self._counts.get(vm_id, 0) + 1
 
-    def on_evict(self, line: CacheLine) -> None:
-        self._decrement(line)
+    def on_evict(self, block: int, vm_id: int) -> None:
+        self._decrement(vm_id)
 
-    def on_invalidate(self, line: CacheLine) -> None:
-        self._decrement(line)
+    def on_invalidate(self, block: int, vm_id: int) -> None:
+        self._decrement(vm_id)
 
-    def _decrement(self, line: CacheLine) -> None:
-        vm_id = line.vm_id
+    def _decrement(self, vm_id: int) -> None:
         if vm_id == UNTRACKED_VM:
             return
         current = self._counts.get(vm_id, 0)

@@ -471,11 +471,11 @@ class CoherenceSanitizer:
         for core, hierarchy in self.system.caches.items():
             counts: Dict[int, int] = {}
             blocks: Set[int] = set()
-            for line in hierarchy.l2.lines():
-                blocks.add(line.block)
-                true_holders.setdefault(line.block, set()).add(core)
-                if line.vm_id != UNTRACKED_VM:
-                    counts[line.vm_id] = counts.get(line.vm_id, 0) + 1
+            for block, vm_id, _ in hierarchy.l2.lines():
+                blocks.add(block)
+                true_holders.setdefault(block, set()).add(core)
+                if vm_id != UNTRACKED_VM:
+                    counts[vm_id] = counts.get(vm_id, 0) + 1
             shadow = self.shadows.get(core)
             if shadow is not None and (
                 shadow.resident_blocks() != blocks or shadow.counts() != counts

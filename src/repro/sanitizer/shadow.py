@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Set
 
-from repro.cache.line import CacheLine
 from repro.cache.setassoc import CacheObserver
 from repro.core.residence import UNTRACKED_VM
 from repro.sanitizer.violation import SanitizerCheck, SanitizerViolation
@@ -47,56 +46,56 @@ class ShadowCache(CacheObserver):
     # CacheObserver interface.
     # ------------------------------------------------------------------
 
-    def on_insert(self, line: CacheLine) -> None:
+    def on_insert(self, block: int, vm_id: int) -> None:
         sanitizer = self._sanitizer
-        if line.block in self.blocks:
+        if block in self.blocks:
             sanitizer.report(
                 SanitizerViolation(
                     SanitizerCheck.SHADOW,
                     "insert event for a block already resident in the shadow",
                     cycle=sanitizer.clock(),
-                    block=line.block,
-                    vm_id=line.vm_id,
+                    block=block,
+                    vm_id=vm_id,
                     core=self.core,
                 )
             )
-        self.blocks[line.block] = line.vm_id
-        sanitizer.holders_of(line.block, create=True).add(self.core)
-        if line.vm_id != UNTRACKED_VM:
-            self.vm_counts[line.vm_id] = self.vm_counts.get(line.vm_id, 0) + 1
+        self.blocks[block] = vm_id
+        sanitizer.holders_of(block, create=True).add(self.core)
+        if vm_id != UNTRACKED_VM:
+            self.vm_counts[vm_id] = self.vm_counts.get(vm_id, 0) + 1
         sanitizer.check_tracker(
-            self.core, line.vm_id, "insert", self.vm_counts.get(line.vm_id, 0)
+            self.core, vm_id, "insert", self.vm_counts.get(vm_id, 0)
         )
 
-    def on_evict(self, line: CacheLine) -> None:
-        self._remove(line, "evict")
+    def on_evict(self, block: int, vm_id: int) -> None:
+        self._remove(block, vm_id, "evict")
 
-    def on_invalidate(self, line: CacheLine) -> None:
-        self._remove(line, "invalidate")
+    def on_invalidate(self, block: int, vm_id: int) -> None:
+        self._remove(block, vm_id, "invalidate")
 
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
 
-    def _remove(self, line: CacheLine, event: str) -> None:
+    def _remove(self, block: int, vm_id: int, event: str) -> None:
         sanitizer = self._sanitizer
-        tag = self.blocks.pop(line.block, None)
+        tag = self.blocks.pop(block, None)
         if tag is None:
             sanitizer.report(
                 SanitizerViolation(
                     SanitizerCheck.SHADOW,
                     f"{event} event for a block the shadow never saw inserted",
                     cycle=sanitizer.clock(),
-                    block=line.block,
-                    vm_id=line.vm_id,
+                    block=block,
+                    vm_id=vm_id,
                     core=self.core,
                 )
             )
             return
-        holders = sanitizer.holders_of(line.block)
+        holders = sanitizer.holders_of(block)
         holders.discard(self.core)
         if not holders:
-            sanitizer.drop_holders(line.block)
+            sanitizer.drop_holders(block)
         if tag != UNTRACKED_VM:
             count = self.vm_counts.get(tag, 0) - 1
             if count < 0:
@@ -105,7 +104,7 @@ class ShadowCache(CacheObserver):
                         SanitizerCheck.SHADOW,
                         f"shadow per-VM count underflow on {event}",
                         cycle=sanitizer.clock(),
-                        block=line.block,
+                        block=block,
                         vm_id=tag,
                         core=self.core,
                     )

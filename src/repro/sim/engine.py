@@ -359,7 +359,9 @@ class SimulationEngine:
         if not hit:
             victim = hierarchy.fill(block, vm_tag, is_write or outcome.fill_dirty)
             if victim is not None:
-                self._handle_eviction(core, victim, cycle=self.clock.now)
+                self._handle_eviction(
+                    core, victim[0], victim[2], cycle=self.clock.now
+                )
         if self._observe_outcome is not None:
             self._observe_outcome(core, block)
         return outcome.latency

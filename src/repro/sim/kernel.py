@@ -58,8 +58,9 @@ when the phase ends, even by an exception. Nothing reads them in
 between: the sanitizer and the tracer, which read counters mid-phase,
 turn the seam off.
 
-Allocation: the seam's retired L2 victim and L1 lines, the L1 line an
-L2-hit promote evicts, and registry records the seam retires (bare
+Allocation: a cache line is an int tag in its set dict
+(:mod:`repro.cache.line`: VM id and dirty bit), so fills, promotes and
+dirty marks allocate nothing. Registry records the seam retires (bare
 records: an int sharer mask and no provider table) are reused for the
 blocks that replace them, after every field still needed from the old
 block has been read.
@@ -71,7 +72,6 @@ import os
 from heapq import heapify, heappop, heapreplace
 from typing import Dict, List, Tuple
 
-from repro.cache.line import CacheLine
 from repro.coherence.registry import (
     GLOBAL_PROVIDER,
     MEMORY,
@@ -229,12 +229,11 @@ class BatchedEngine(SimulationEngine):
         #   final values and sampled windows can observe them (the
         #   sanitizer and tracer, which read them mid-phase, gate the
         #   seam off), and sums do not depend on the order of addition;
-        # - allocations. The L2 victim becomes the new L2 line (after
-        #   its dirty bit is read), an L1 line that leaves its set
-        #   becomes the new L1 line, and a retired registry record is
-        #   pooled and reset before it serves another block. No retired
-        #   object is referenced from anywhere else, and every dict
-        #   insertion (so every LRU and registry order) is unchanged.
+        # - allocations. Lines are int tags, so a fill builds no line
+        #   object, and a retired registry record is pooled and reset
+        #   before it serves another block. No retired record is
+        #   referenced from anywhere else, and every dict insertion (so
+        #   every LRU and registry order) is unchanged.
         #
         # Gated off whenever an observer (sanitizer, tracer, outcome
         # observer) is attached: those are wired through the seams the
@@ -286,7 +285,6 @@ class BatchedEngine(SimulationEngine):
             memory_holder = MEMORY
             global_provider = GLOBAL_PROVIDER
             block_state = BlockState
-            cache_line = CacheLine
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             # Read once per phase: observers are attached before a run.
@@ -592,19 +590,17 @@ class BatchedEngine(SimulationEngine):
                 # exactly for GETM, where is_write is True already) ----
                 victim = None
                 if l2_set is not None:
-                    l1_line = None
                     if len(l2_set) >= l2_ways:
-                        victim = l2_set.pop(next(iter(l2_set)))
-                        victim_block = victim.block
-                        victim_vm = victim.vm_id
-                        victim_dirty = victim.dirty
+                        victim_block = next(iter(l2_set))
+                        victim = l2_set.pop(victim_block)
+                        victim_vm = victim >> 1
                         if victim_vm != untracked:
                             # Inlined ResidenceTracker.on_evict.
                             counts = res_counts[core]
                             current = counts.get(victim_vm, 0) - 1
                             if current < 0:
                                 # Canonical underflow diagnostics.
-                                trackers[core].on_evict(victim)
+                                trackers[core].on_evict(victim_block, victim_vm)
                             elif current == 0:
                                 del counts[victim_vm]
                             else:
@@ -613,28 +609,19 @@ class BatchedEngine(SimulationEngine):
                                 on_low = res_on_low[core]
                                 if on_low is not None:
                                     on_low(core, victim_vm, current)
-                        victim.block = block
-                        victim.vm_id = vm_tag
-                        victim.dirty = is_write
-                        l2_set[block] = victim
                         # Inclusion: the victim's L1 copy goes too.
-                        l1_line = l1_sets_by_core[core][
-                            victim_block & l1_mask
-                        ].pop(victim_block, None)
-                    else:
-                        l2_set[block] = cache_line(block, vm_tag, is_write)
+                        l1_sets_by_core[core][victim_block & l1_mask].pop(
+                            victim_block, None
+                        )
+                    # The line's tag (repro.cache.line): VM id, dirty bit.
+                    tag = vm_tag << 1 | is_write
+                    l2_set[block] = tag
                     if vm_tag != untracked:
                         counts = res_counts[core]
                         counts[vm_tag] = counts.get(vm_tag, 0) + 1
                     if len(l1_set) >= l1_ways:
-                        l1_line = l1_set.pop(next(iter(l1_set)))
-                    if l1_line is None:
-                        l1_line = cache_line(block, vm_tag, is_write)
-                    else:
-                        l1_line.block = block
-                        l1_line.vm_id = vm_tag
-                        l1_line.dirty = is_write
-                    l1_set[block] = l1_line
+                        del l1_set[next(iter(l1_set))]
+                    l1_set[block] = tag
                 if victim is not None:
                     # Inlined registry.evicted + handle_eviction: tokens
                     # (and dirty data) travel back to memory. The send's
@@ -655,7 +642,7 @@ class BatchedEngine(SimulationEngine):
                             # The owner token goes home, with the data
                             # when either copy is dirty.
                             vstate.owner = memory_holder
-                            writeback = vstate.dirty or victim_dirty
+                            writeback = vstate.dirty or victim & 1
                             vstate.dirty = False
                         if writeback:
                             memory.writebacks += 1
@@ -759,37 +746,29 @@ class BatchedEngine(SimulationEngine):
                 # ---- cache probe (reference order, call-free LRU).
                 # A hit leaves l2_set None; a miss leaves the L2 set the
                 # transaction fills ----
+                # Set values are line tags (repro.cache.line), so a store
+                # sets the dirty bit with ``| is_write``.
                 l1_set = l1_sets_by_core[core][block & l1_mask]
                 if block in l1_set:
-                    l1_line = l1_set[block]
+                    tag = l1_set[block]
                     del l1_set[block]
-                    l1_set[block] = l1_line
+                    l1_set[block] = tag | is_write
                     hierarchies[core].l1_hits += 1
                     latency = l1_latency
                     l2_set = None
                     if is_write:
-                        l1_line.dirty = True
-                        l2_line = l2_sets_by_core[core][block & l2_mask][block]
-                        l2_line.dirty = True
+                        l2_sets_by_core[core][block & l2_mask][block] |= 1
                 else:
                     latency = l12_latency
                     l2_set = l2_sets_by_core[core][block & l2_mask]
                     if block in l2_set:
-                        l2_line = l2_set[block]
+                        tag = l2_set[block]
                         del l2_set[block]
-                        l2_set[block] = l2_line
+                        l2_set[block] = tag | is_write
                         hierarchies[core].l2_hits += 1
-                        if is_write:
-                            l2_line.dirty = True
                         if len(l1_set) >= l1_ways:
-                            # The line evicted for room becomes the new one.
-                            l1_line = l1_set.pop(next(iter(l1_set)))
-                            l1_line.block = block
-                            l1_line.vm_id = vm_tag
-                            l1_line.dirty = is_write
-                            l1_set[block] = l1_line
-                        else:
-                            l1_set[block] = CacheLine(block, vm_tag, is_write)
+                            del l1_set[next(iter(l1_set))]
+                        l1_set[block] = vm_tag << 1 | is_write
                         l2_set = None
                     else:
                         hierarchies[core].misses += 1

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.cache.hierarchy import PrivateHierarchy
-from repro.cache.line import CacheLine
+from repro.cache.line import make_tag, tag_dirty, tag_vm
 from repro.coherence.protocol import TokenProtocol
 from repro.coherence.registry import (
     MEMORY,
@@ -164,11 +164,11 @@ SNAPSHOT_FORMAT = 1
 def _capture_sets(sets) -> list:
     """Each cache set as an ordered ``(block, vm_id, dirty)`` list.
 
-    The sets are dicts whose insertion order *is* the LRU order, so a
-    plain item walk captures recency exactly.
+    The sets are dicts from block to tag whose insertion order *is* the
+    LRU order, so a plain item walk captures recency exactly.
     """
     return [
-        [(line.block, line.vm_id, line.dirty) for line in cache_set.values()]
+        [(block, tag_vm(tag), tag_dirty(tag)) for block, tag in cache_set.items()]
         for cache_set in sets
     ]
 
@@ -183,7 +183,7 @@ def _restore_sets(sets, captured: list) -> None:
     for cache_set, lines in zip(sets, captured):
         cache_set.clear()
         for block, vm_id, dirty in lines:
-            cache_set[block] = CacheLine(block, vm_id, dirty)
+            cache_set[block] = make_tag(vm_id, dirty)
 
 
 class SnapshotMismatch(ValueError):

@@ -3,16 +3,15 @@
 import pytest
 
 from repro.baselines.regionscout import RegionScoutFilter, RegionTracker
-from repro.cache.line import CacheLine
 from repro.mem.pagetype import PageType
 
 
 class TestRegionTracker:
     def test_counts_regions(self):
         tracker = RegionTracker(region_bits=6, crh_buckets=64)
-        tracker.on_insert(CacheLine(0, 1))
-        tracker.on_insert(CacheLine(1, 1))  # same region
-        tracker.on_insert(CacheLine(64, 1))  # next region
+        tracker.on_insert(0, 1)
+        tracker.on_insert(1, 1)  # same region
+        tracker.on_insert(64, 1)  # next region
         assert tracker.caches_region(0)
         assert tracker.caches_region(1)
         assert not tracker.caches_region(2)
@@ -20,26 +19,26 @@ class TestRegionTracker:
     def test_crh_no_false_negatives(self):
         tracker = RegionTracker(region_bits=6, crh_buckets=4)
         for block in (0, 64, 128, 192, 256):
-            tracker.on_insert(CacheLine(block, 1))
+            tracker.on_insert(block, 1)
         for region in range(5):
             assert tracker.crh_possibly_present(region)
 
     def test_crh_clears_on_eviction(self):
         tracker = RegionTracker(region_bits=6, crh_buckets=64)
-        line = CacheLine(0, 1)
-        tracker.on_insert(line)
-        tracker.on_evict(line)
+        line = (0, 1)
+        tracker.on_insert(*line)
+        tracker.on_evict(*line)
         assert not tracker.caches_region(0)
         assert not tracker.crh_possibly_present(0)
 
     def test_underflow_raises(self):
         tracker = RegionTracker(region_bits=6, crh_buckets=64)
         with pytest.raises(RuntimeError):
-            tracker.on_evict(CacheLine(0, 1))
+            tracker.on_evict(0, 1)
 
     def test_collisions_cause_false_positives(self):
         tracker = RegionTracker(region_bits=6, crh_buckets=1)
-        tracker.on_insert(CacheLine(0, 1))
+        tracker.on_insert(0, 1)
         # Single bucket: every region now appears possibly-present.
         assert tracker.crh_possibly_present(999)
         assert not tracker.caches_region(999)
@@ -55,7 +54,7 @@ class TestRegionScoutFilter:
 
     def test_filters_cores_without_region(self):
         f = self.make_filter()
-        f.trackers[1].on_insert(CacheLine(5, 1))  # core 1 caches region 0
+        f.trackers[1].on_insert(5, 1)  # core 1 caches region 0
         plan = f.plan(0, 1, PageType.VM_PRIVATE, block=7)
         assert plan.attempts[0] == frozenset({0, 1})
         assert f.crh_filtered_cores == 2  # cores 2 and 3 skipped
@@ -70,14 +69,14 @@ class TestRegionScoutFilter:
     def test_nsrt_invalidated_when_region_becomes_shared(self):
         f = self.make_filter()
         f.observe_outcome(0, 7)
-        f.trackers[2].on_insert(CacheLine(9, 1))  # core 2 now caches region 0
+        f.trackers[2].on_insert(9, 1)  # core 2 now caches region 0
         plan = f.plan(0, 1, PageType.VM_PRIVATE, block=8)
         assert 2 in plan.attempts[0]
         assert f.nsrt_hits == 0
 
     def test_nsrt_not_learned_for_shared_regions(self):
         f = self.make_filter()
-        f.trackers[3].on_insert(CacheLine(2, 1))
+        f.trackers[3].on_insert(2, 1)
         f.observe_outcome(0, 7)
         plan = f.plan(0, 1, PageType.VM_PRIVATE, block=8)
         assert plan.attempts[0] == frozenset({0, 3})
@@ -97,7 +96,7 @@ class TestRegionScoutFilter:
         assert f.plan(0, 1, PageType.VM_PRIVATE, block=7) is before  # memoised
         # Core 2 caches another region hashed to the same CRH bucket: the
         # bucket's membership epoch moves, so the memoised plan is stale.
-        f.trackers[2].on_insert(CacheLine(colliding << f.region_bits, 1))
+        f.trackers[2].on_insert(colliding << f.region_bits, 1)
         after = f.plan(0, 1, PageType.VM_PRIVATE, block=7)
         assert 2 in after.attempts[0]
 

@@ -1,6 +1,7 @@
 """Tests for the per-core L1/L2 hierarchy."""
 
 from repro.cache.hierarchy import AccessResult, PrivateHierarchy
+from repro.cache.line import tag_dirty
 
 
 def small_hierarchy(**kwargs):
@@ -45,8 +46,10 @@ class TestAccessPath:
     def test_write_marks_dirty_both_levels(self):
         h = small_hierarchy()
         h.fill(0x5, vm_id=1)
+        assert not tag_dirty(h.l2.lookup(0x5, touch=False))
         h.access(0x5, vm_id=1, is_write=True)
-        assert h.is_dirty(0x5)
+        assert tag_dirty(h.l1.lookup(0x5, touch=False))
+        assert tag_dirty(h.l2.lookup(0x5, touch=False))
 
 
 class TestInclusion:
@@ -54,7 +57,7 @@ class TestInclusion:
         h = small_hierarchy(l2_size=4 * 64, l2_ways=1)  # 4 sets, direct-mapped
         h.fill(0x0, vm_id=1)
         victim = h.fill(0x4, vm_id=1)  # same L2 set as 0x0
-        assert victim is not None and victim.block == 0x0
+        assert victim == (0x0, 1, False)
         assert not h.l1.contains(0x0)
         assert not h.contains(0x0)
 
@@ -70,16 +73,16 @@ class TestInclusion:
         h = small_hierarchy(l2_size=4 * 64, l2_ways=1)
         h.fill(0x0, vm_id=1, dirty=True)
         victim = h.fill(0x4, vm_id=1)
-        assert victim.dirty
+        assert victim == (0x0, 1, True)
 
     def test_l1_invariant_subset_of_l2(self):
         h = small_hierarchy()
         for block in range(0, 64, 2):
             h.fill(block, vm_id=1)
             h.access(block, vm_id=1, is_write=False)
-        l2_blocks = {line.block for line in h.l2.lines()}
-        for line in h.l1.lines():
-            assert line.block in l2_blocks
+        l2_blocks = {block for block, _, _ in h.l2.lines()}
+        for block, _, _ in h.l1.lines():
+            assert block in l2_blocks
 
 
 class TestCounters:

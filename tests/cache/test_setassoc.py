@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.line import make_tag, tag_dirty, tag_vm
 from repro.cache.setassoc import CacheObserver, SetAssociativeCache
 
 
@@ -13,14 +14,14 @@ class RecordingObserver(CacheObserver):
         self.evicts = []
         self.invalidates = []
 
-    def on_insert(self, line):
-        self.inserts.append(line.block)
+    def on_insert(self, block, vm_id):
+        self.inserts.append(block)
 
-    def on_evict(self, line):
-        self.evicts.append(line.block)
+    def on_evict(self, block, vm_id):
+        self.evicts.append(block)
 
-    def on_invalidate(self, line):
-        self.invalidates.append(line.block)
+    def on_invalidate(self, block, vm_id):
+        self.invalidates.append(block)
 
 
 class TestGeometry:
@@ -42,9 +43,9 @@ class TestLookupInsert:
         cache = SetAssociativeCache(num_sets=4, ways=2)
         assert cache.lookup(0x10) is None
         cache.insert(0x10, vm_id=1)
-        line = cache.lookup(0x10)
-        assert line is not None
-        assert line.vm_id == 1
+        tag = cache.lookup(0x10)
+        assert tag is not None
+        assert tag_vm(tag) == 1
 
     def test_lru_eviction_order(self):
         cache = SetAssociativeCache(num_sets=1, ways=2)
@@ -52,8 +53,7 @@ class TestLookupInsert:
         cache.insert(2, vm_id=0)
         cache.lookup(1)  # 1 becomes MRU; 2 is now LRU
         victim = cache.insert(3, vm_id=0)
-        assert victim is not None
-        assert victim.block == 2
+        assert victim == (2, 0, False)
 
     def test_insert_existing_refreshes_no_evict(self):
         obs = RecordingObserver()
@@ -61,14 +61,14 @@ class TestLookupInsert:
         cache.insert(1, vm_id=0)
         cache.insert(1, vm_id=0, dirty=True)
         assert obs.inserts == [1]
-        assert cache.lookup(1).dirty
+        assert tag_dirty(cache.lookup(1))
 
     def test_same_set_conflict(self):
         # Blocks 0 and 4 map to set 0 of a 4-set cache.
         cache = SetAssociativeCache(num_sets=4, ways=1)
         cache.insert(0, vm_id=0)
         victim = cache.insert(4, vm_id=0)
-        assert victim.block == 0
+        assert victim[0] == 0
 
 
 class TestInvalidateAndFlush:
@@ -76,20 +76,12 @@ class TestInvalidateAndFlush:
         cache = SetAssociativeCache(num_sets=4, ways=2)
         cache.insert(0x20, vm_id=2, dirty=True)
         line = cache.invalidate(0x20)
-        assert line.dirty
+        assert line == (0x20, 2, True)
         assert cache.lookup(0x20) is None
 
     def test_invalidate_missing_is_none(self):
         cache = SetAssociativeCache(num_sets=4, ways=2)
         assert cache.invalidate(0x99) is None
-
-    def test_flush_vm_removes_only_that_vm(self):
-        cache = SetAssociativeCache(num_sets=4, ways=4)
-        for block in range(8):
-            cache.insert(block, vm_id=block % 2)
-        removed = cache.flush_vm(0)
-        assert {l.block for l in removed} == {0, 2, 4, 6}
-        assert all(l.vm_id == 1 for l in cache.lines())
 
     def test_mark_dirty_missing_raises(self):
         cache = SetAssociativeCache(num_sets=4, ways=2)
@@ -117,8 +109,8 @@ def test_property_capacity_never_exceeded(blocks):
         cache.insert(block, vm_id=0)
         assert cache.resident_count() <= cache.capacity_lines
     # Every resident block must be findable.
-    for line in cache.lines():
-        assert cache.lookup(line.block, touch=False) is line
+    for block, vm_id, dirty in cache.lines():
+        assert cache.lookup(block, touch=False) == make_tag(vm_id, dirty)
 
 
 @settings(max_examples=50)
@@ -135,3 +127,19 @@ def test_property_observer_balance(blocks):
     resident = cache.resident_count()
     assert len(obs.inserts) - len(obs.evicts) - len(obs.invalidates) == resident
 
+
+
+class TestTags:
+    @pytest.mark.parametrize("vm_id", [-1, 0, 1, 7, 1000])
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_tag_round_trip(self, vm_id, dirty):
+        tag = make_tag(vm_id, dirty)
+        assert tag_vm(tag) == vm_id
+        assert tag_dirty(tag) is dirty
+
+    def test_mark_dirty_keeps_vm_and_lru_order(self):
+        cache = SetAssociativeCache(num_sets=1, ways=4)
+        for block in (1, 2, 3):
+            cache.insert(block, vm_id=-1 if block == 2 else 5)
+        cache.mark_dirty(2)
+        assert list(cache.lines()) == [(1, 5, False), (2, -1, True), (3, 5, False)]

@@ -193,8 +193,8 @@ class TestEvictionHandling:
         p.execute(2, 1, 0x700, is_write=True, plan=broadcast_plan())
         victim = p.caches[2].fill(0x700, vm_id=1, dirty=True)
         assert victim is None
-        line = p.caches[2].invalidate(0x700)
-        p.handle_eviction(2, line)
+        block, _, dirty = p.caches[2].invalidate(0x700)
+        p.handle_eviction(2, block, dirty)
         assert p.memory.writebacks == 1
         assert not p.registry.is_cached_anywhere(0x700)
 
@@ -202,6 +202,6 @@ class TestEvictionHandling:
         p = make_protocol()
         p.execute(2, 1, 0x700, is_write=False, plan=broadcast_plan())
         p.caches[2].fill(0x700, vm_id=1)
-        line = p.caches[2].invalidate(0x700)
-        p.handle_eviction(2, line)
+        block, _, dirty = p.caches[2].invalidate(0x700)
+        p.handle_eviction(2, block, dirty)
         assert p.memory.token_returns == 1

@@ -76,7 +76,7 @@ def test_property_registry_cache_coherent(ops):
         result = protocol.execute(core, 1, block, is_write, plan)
         victim = hierarchy.fill(block, vm_id=1, dirty=is_write or result.fill_dirty)
         if victim is not None:
-            protocol.handle_eviction(core, victim)
+            protocol.handle_eviction(core, victim[0], victim[2])
         check_invariants(protocol)
 
 
@@ -94,7 +94,7 @@ def test_property_single_writer(ops):
             result = protocol.execute(core, 1, block, is_write, plan)
             victim = hierarchy.fill(block, 1, dirty=is_write or result.fill_dirty)
             if victim is not None:
-                protocol.handle_eviction(core, victim)
+                protocol.handle_eviction(core, victim[0], victim[2])
         elif is_write and not protocol.registry.write_hit(core, block):
             protocol.execute(core, 1, block, True, plan)
         if is_write:

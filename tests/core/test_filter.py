@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache.line import CacheLine
 from repro.coherence.registry import GLOBAL_PROVIDER
 from repro.core.filter import ContentPolicy, SnoopPolicy, VirtualSnoopFilter
 from repro.mem.pagetype import PageType
@@ -103,9 +102,9 @@ class TestContentPlans:
 class TestDomainMaintenance:
     def _fill_and_drain(self, f, core, vm, blocks=3):
         tracker = f.trackers[core]
-        lines = [CacheLine(i, vm) for i in range(blocks)]
+        lines = [(i, vm) for i in range(blocks)]
         for line in lines:
-            tracker.on_insert(line)
+            tracker.on_insert(*line)
         return lines
 
     def test_counter_removes_core_after_drain(self):
@@ -114,7 +113,7 @@ class TestDomainMaintenance:
         f.on_vcpu_displaced(1, 7)
         assert 7 in f.domains.domain(1)  # data still cached
         for line in lines:
-            f.trackers[7].on_evict(line)
+            f.trackers[7].on_evict(*line)
         assert 7 not in f.domains.domain(1)
 
     def test_base_policy_never_removes(self):
@@ -122,14 +121,14 @@ class TestDomainMaintenance:
         lines = self._fill_and_drain(f, 7, 1)
         f.on_vcpu_displaced(1, 7)
         for line in lines:
-            f.trackers[7].on_evict(line)
+            f.trackers[7].on_evict(*line)
         assert 7 in f.domains.domain(1)
 
     def test_counter_does_not_remove_running_core(self):
         f = make_filter(policy=SnoopPolicy.VSNOOP_COUNTER)
         lines = self._fill_and_drain(f, 7, 1)
         for line in lines:
-            f.trackers[7].on_evict(line)
+            f.trackers[7].on_evict(*line)
         assert 7 in f.domains.domain(1)  # VM still running there
 
     def test_displacement_with_empty_counter_removes_immediately(self):
@@ -140,15 +139,15 @@ class TestDomainMaintenance:
     def test_threshold_removes_early(self):
         f = make_filter(policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD, counter_threshold=10)
         tracker = f.trackers[7]
-        lines = [CacheLine(i, 1) for i in range(12)]
+        lines = [(i, 1) for i in range(12)]
         for line in lines:
-            tracker.on_insert(line)
+            tracker.on_insert(*line)
         f.on_vcpu_displaced(1, 7)
-        tracker.on_evict(lines[0])  # 11 left
+        tracker.on_evict(*lines[0])  # 11 left
         assert 7 in f.domains.domain(1)
-        tracker.on_evict(lines[1])  # 10 left: still not under threshold
+        tracker.on_evict(*lines[1])  # 10 left: still not under threshold
         assert 7 in f.domains.domain(1)
-        tracker.on_evict(lines[2])  # 9 left: under threshold -> removed
+        tracker.on_evict(*lines[2])  # 9 left: under threshold -> removed
         assert 7 not in f.domains.domain(1)
 
     def test_rejects_bad_threshold(self):
@@ -181,14 +180,14 @@ class TestPlanCache:
     def test_residence_removal_invalidates(self):
         f = make_filter(policy=SnoopPolicy.VSNOOP_COUNTER)
         tracker = f.trackers[7]
-        lines = [CacheLine(i, 1) for i in range(3)]
+        lines = [(i, 1) for i in range(3)]
         for line in lines:
-            tracker.on_insert(line)
+            tracker.on_insert(*line)
         f.on_vcpu_displaced(1, 7)  # counter non-empty: core 7 stays
         before = f.plan(4, 1, PageType.VM_PRIVATE)
         assert 7 in before.attempts[0]
         for line in lines:  # drain to the watermark -> try_remove fires
-            tracker.on_evict(line)
+            tracker.on_evict(*line)
         assert 7 not in f.domains.domain(1)
         after = f.plan(4, 1, PageType.VM_PRIVATE)
         assert after is not before

@@ -125,7 +125,5 @@ def test_double_decrement_hits_tracker_underflow_guard(system):
     hierarchy.invalidate(10)
     # The tracker's own underflow guard fires before the sanitizer could:
     # decrementing a VM with no lines is a hard bookkeeping bug.
-    from repro.cache.line import CacheLine
-
     with pytest.raises(RuntimeError):
-        tracker.on_evict(CacheLine(10, VM))
+        tracker.on_evict(10, VM)

@@ -48,10 +48,10 @@ class TestRegistryCacheConsistency:
     def test_sharers_match_cache_contents(self):
         system = run_small()
         for core, hierarchy in system.caches.items():
-            for line in hierarchy.l2.lines():
-                state = system.registry.state_of(line.block)
+            for block, vm_id, _ in hierarchy.l2.lines():
+                state = system.registry.state_of(block)
                 assert state is not None and core in cores_of(state.sharers), (
-                    f"core {core} caches block {line.block:#x} unknown to registry"
+                    f"core {core} caches block {block:#x} unknown to registry"
                 )
 
     def test_registry_sharers_are_cached(self):
@@ -64,9 +64,9 @@ class TestRegistryCacheConsistency:
         system = run_small()
         for core, hierarchy in system.caches.items():
             actual = {}
-            for line in hierarchy.l2.lines():
-                if line.vm_id >= 0:
-                    actual[line.vm_id] = actual.get(line.vm_id, 0) + 1
+            for block, vm_id, _ in hierarchy.l2.lines():
+                if vm_id >= 0:
+                    actual[vm_id] = actual.get(vm_id, 0) + 1
             tracker = system.snoop_filter.trackers[core]
             for vm in (1, 2, 3, 4):
                 assert tracker.count(vm) == actual.get(vm, 0)

@@ -28,7 +28,7 @@ from tests.sim.differential import assert_same_end_state, run_system
 
 # Stripped source line -> why no cell needs to run it.
 ALLOWLIST = {
-    "trackers[core].on_evict(victim)": (
+    "trackers[core].on_evict(victim_block, victim_vm)": (
         "residence-counter underflow diagnostic: safety code that raises "
         "on a tracker bug, unreachable while the counters are right"
     ),

@@ -1,8 +1,12 @@
-"""The simulator imports and runs without NumPy.
+"""The simulator imports and runs without NumPy or the campaign executor.
 
 A fresh interpreter imports the CLI, the kernel, the runner and the
 cache substrate, runs one tiny batched cell, and must not have loaded
-NumPy on the way — whether or not NumPy is installed.
+NumPy on the way — whether or not NumPy is installed. A second fresh
+interpreter imports only what a single cell needs (as
+``bench/child.py`` does) and must not have loaded the campaign
+executor, the result store or ``multiprocessing``; the runner's names
+must still resolve through ``repro.sim`` afterwards.
 """
 
 import os
@@ -12,17 +16,7 @@ from pathlib import Path
 
 import repro
 
-SCRIPT = """
-import sys
-
-import repro.cache.setassoc
-import repro.cli
-import repro.sim.runner
-from repro.sim.config import SimConfig
-from repro.sim.kernel import BatchedEngine, engine_for
-from repro.sim.system import build_system
-from repro.workloads.profiles import PROFILES
-
+CELL = """
 config = SimConfig(
     num_cores=4,
     mesh_width=2,
@@ -38,18 +32,56 @@ engine = engine_for(system)
 assert type(engine) is BatchedEngine
 engine.run()
 assert system.stats.l1_accesses > 0
+"""
+
+SCRIPT = """
+import sys
+
+import repro.cache.setassoc
+import repro.cli
+import repro.sim.runner
+from repro.sim.config import SimConfig
+from repro.sim.kernel import BatchedEngine, engine_for
+from repro.sim.system import build_system
+from repro.workloads.profiles import PROFILES
+""" + CELL + """
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 
+CELL_ONLY_SCRIPT = """
+import sys
 
-def test_simulator_never_imports_numpy():
+import repro.sim.config
+import repro.sim.mtstream
+from repro.sim.config import SimConfig
+from repro.sim.kernel import BatchedEngine, engine_for
+from repro.sim.system import build_system
+from repro.workloads.profiles import PROFILES
+""" + CELL + """
+loaded = [
+    name
+    for name in ("repro.sim.runner", "repro.store", "multiprocessing")
+    if name in sys.modules
+]
+assert not loaded, f"a single cell loaded {loaded}"
+from repro.sim import SimTask, run_matrix
+import repro.sim.runner
+
+assert run_matrix is repro.sim.runner.run_matrix
+assert SimTask is repro.sim.runner.SimTask
+missing = [name for name in repro.sim.__all__ if not hasattr(repro.sim, name)]
+assert not missing, missing
+"""
+
+
+def run_fresh(script: str) -> None:
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -57,3 +89,11 @@ def test_simulator_never_imports_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout
+
+
+def test_simulator_never_imports_numpy():
+    run_fresh(SCRIPT)
+
+
+def test_single_cell_never_imports_the_campaign_executor():
+    run_fresh(CELL_ONLY_SCRIPT)

@@ -54,15 +54,15 @@ def test_stress_all_features(policy):
     # Registry and caches stayed consistent through migrations, COWs,
     # invalidations, page frees and speculative map removals.
     for core, hierarchy in system.caches.items():
-        for line in hierarchy.l2.lines():
-            state = system.registry.state_of(line.block)
+        for block, vm_id, _ in hierarchy.l2.lines():
+            state = system.registry.state_of(block)
             assert state is not None and core in cores_of(state.sharers)
     # Residence counters stayed exact.
     for core, hierarchy in system.caches.items():
         actual = {}
-        for line in hierarchy.l2.lines():
-            if line.vm_id >= 0:
-                actual[line.vm_id] = actual.get(line.vm_id, 0) + 1
+        for block, vm_id, _ in hierarchy.l2.lines():
+            if vm_id >= 0:
+                actual[vm_id] = actual.get(vm_id, 0) + 1
         tracker = system.snoop_filter.trackers[core]
         for vm in (1, 2, 3, 4):
             assert tracker.count(vm) == actual.get(vm, 0)

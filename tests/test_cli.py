@@ -118,6 +118,22 @@ class TestJobsFlag:
         assert parse_jobs(" 0 ") == (os.cpu_count() or 1)
 
 
+class TestConfigErrors:
+    """An invalid ``SimConfig`` exits 2 with a usage error, as an
+    invalid ``--jobs`` does, instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--accesses", "-5"], ["--warmup", "-1"], ["--vms", "0"]]
+    )
+    def test_invalid_config_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--app", "fft", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro-sim: error:" in err
+        assert "Traceback" not in err
+
+
 class TestExperimentCampaign:
     """The --out/--resume/--retries/--task-timeout wiring, end to end on
     a two-cell test experiment."""
