@@ -2,12 +2,11 @@
 
 from repro.coherence.plan import RequestPlan
 from repro.coherence.protocol import ProtocolError, TokenProtocol, TransactionResult
-from repro.coherence.registry import MEMORY, BlockState, TokenRegistry
+from repro.coherence.registry import MEMORY, TokenRegistry
 from repro.coherence.stats import CoherenceStats
 
 __all__ = [
     "MEMORY",
-    "BlockState",
     "CoherenceStats",
     "ProtocolError",
     "RequestPlan",

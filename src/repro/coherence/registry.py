@@ -13,21 +13,38 @@ keeps the abstract per-block state the evaluation needs:
 * ``dirty`` — whether the memory copy is stale,
 * ``providers`` — for content-shared (RO-shared) blocks, the per-VM
   provider designation of Section VI-B: the one copy per VM that answers
-  intra-VM / friend-VM requests. ``None`` while no copy is designated,
-  so a block that is never content-shared carries no table.
+  intra-VM / friend-VM requests.
 
 Exact integer token counts are not tracked: every protocol decision in
 the paper's experiments depends only on the sharer mask and the owner
 (a GETS succeeds iff it reaches the owner; a GETM succeeds iff it
-reaches every sharer), so they are the faithful abstraction. A mask is
-the hardware's own spelling of a core set and costs one int per record
-where a one-element ``set`` cost ~200 bytes. The query API below still
-speaks in cores (:func:`cores_of` decodes a mask in ascending order).
+reaches every sharer), so they are the faithful abstraction.
+
+Value format. The first three fields of a block are packed into one int,
+its value in ``TokenRegistry._blocks``::
+
+    others << SHARER_SHIFT | (owner + 1) << 1 | dirty
+
+``others`` is the sharer mask without the owner's bit: a cache owner
+always holds a copy, so its bit is implied by the owner field (and an
+owner without a copy cannot be written down). ``owner + 1`` is 0 while
+memory owns the block. A block with no state reads as 0, and a value
+that returns to 0 is deleted, so ``_blocks`` holds exactly the blocks
+some cache or a cache owner still holds. The common record, a block
+held by its sole owner on core ``c``, is ``(c + 1) << 1 | dirty``
+(:func:`sole_owner`): for ``c <= 126`` that is one of the small ints
+CPython preallocates, so such a block costs its dict slot and nothing
+else. Provider designations live in a side dict keyed by block
+(``TokenRegistry._providers``), with an entry only while some
+designation does. :func:`decode` and :meth:`TokenRegistry.state_of`
+unpack a value for the cold readers; the batched kernel's bulk-miss
+seam is the one caller outside this module that reads and writes raw
+values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 MEMORY = -1
 """Pseudo-core id denoting the memory controller as token holder."""
@@ -38,6 +55,15 @@ GLOBAL_PROVIDER = -2
 Conventional snooping designates one provider copy per block in the whole
 system; the per-VM designations of Section VI-B extend this. The global
 designation is what a broadcast GETS on a content-shared page uses."""
+
+SHARER_SHIFT = 12
+"""Bit offset of the non-owner sharer mask in a packed value."""
+
+OWNER_FIELD = (1 << (SHARER_SHIFT - 1)) - 1
+"""Mask of the ``owner + 1`` field once a value is shifted right by one."""
+
+MAX_CORES = OWNER_FIELD
+"""Cores the value format can name as owner (ids 0 to ``MAX_CORES - 1``)."""
 
 
 def mask_of(cores: Iterable[int]) -> int:
@@ -58,25 +84,34 @@ def cores_of(mask: int) -> List[int]:
     return cores
 
 
-class BlockState:
-    """Registry record for one block that has ever been cached."""
+def sole_owner(core: int, dirty: bool = False) -> int:
+    """The value of a block held only by its owner ``core``."""
+    return (core + 1) << 1 | dirty
 
-    __slots__ = ("sharers", "owner", "dirty", "providers")
 
-    def __init__(self) -> None:
-        self.sharers: int = 0
-        self.owner: int = MEMORY
-        self.dirty: bool = False
-        # vm_id -> core currently designated data provider for that VM;
-        # None unless a content-shared grant designated one (a table
-        # whose last designation leaves goes back to None).
-        self.providers: Optional[Dict[int, int]] = None
+def encode(sharers: int, owner: int, dirty: bool) -> int:
+    """Pack a sharer mask, owner and dirty bit (a cache owner is a sharer)."""
+    if owner != MEMORY:
+        sharers &= ~(1 << owner)
+    return sharers << SHARER_SHIFT | (owner + 1) << 1 | dirty
 
-    def __repr__(self) -> str:
-        return (
-            f"BlockState(sharers={cores_of(self.sharers)}, owner={self.owner}, "
-            f"dirty={self.dirty})"
-        )
+
+def decode(value: int) -> Tuple[int, int, bool]:
+    """The (sharer mask, owner, dirty) a packed value stands for."""
+    field = value >> 1 & OWNER_FIELD
+    # (1 << field) >> 1 is the owner's bit, or 0 while memory owns.
+    return value >> SHARER_SHIFT | (1 << field) >> 1, field - 1, bool(value & 1)
+
+
+class TokenState(NamedTuple):
+    """A decoded registry record (:meth:`TokenRegistry.state_of`)."""
+
+    sharers: int
+    owner: int
+    dirty: bool
+    # vm_id -> designated provider core; None while none is designated.
+    # The registry's own table: read it, do not edit it.
+    providers: Optional[Dict[int, int]]
 
 
 class TokenRegistry:
@@ -88,43 +123,66 @@ class TokenRegistry:
     """
 
     def __init__(self) -> None:
-        self._blocks: Dict[int, BlockState] = {}
+        # block -> packed value (module docs); never 0.
+        self._blocks: Dict[int, int] = {}
+        # block -> {vm_id: provider core}; never empty.
+        self._providers: Dict[int, Dict[int, int]] = {}
 
-    def state_of(self, block: int) -> Optional[BlockState]:
-        """The record for ``block``, or ``None`` if never cached / all evicted."""
-        return self._blocks.get(block)
+    def _store(self, block: int, value: int) -> None:
+        if value:
+            self._blocks[block] = value
+        else:
+            self._blocks.pop(block, None)
 
-    def _get_or_create(self, block: int) -> BlockState:
-        state = self._blocks.get(block)
-        if state is None:
-            state = BlockState()
-            self._blocks[block] = state
-        return state
+    def state_of(self, block: int) -> Optional[TokenState]:
+        """The decoded record for ``block``, or ``None`` if it has none."""
+        value = self._blocks.get(block, 0)
+        providers = self._providers.get(block)
+        if not value and providers is None:
+            return None
+        return TokenState(*decode(value), providers)
+
+    def records(self) -> Iterator[Tuple[int, TokenState]]:
+        """Every (block, decoded record), in registry order."""
+        providers = self._providers
+        for block, value in self._blocks.items():
+            yield block, TokenState(*decode(value), providers.get(block))
+        for block, table in providers.items():
+            if block not in self._blocks:
+                yield block, TokenState(0, MEMORY, False, table)
+
+    def load(
+        self, records: Iterable[Tuple[int, int, int, bool, Dict[int, int]]]
+    ) -> None:
+        """Replace every record with ``records``, in order.
+
+        Each is (block, sharer mask, owner, dirty, provider table); a
+        warm-state restore writes a snapshot's records back this way.
+        """
+        self._blocks.clear()
+        self._providers.clear()
+        for block, sharers, owner, dirty, providers in records:
+            self._store(block, encode(sharers, owner, dirty))
+            if providers:
+                self._providers[block] = providers
 
     # ------------------------------------------------------------------
     # Queries used by the protocol to decide transaction outcomes.
     # ------------------------------------------------------------------
 
     def owner_of(self, block: int) -> int:
-        state = self._blocks.get(block)
-        return state.owner if state is not None else MEMORY
+        return (self._blocks.get(block, 0) >> 1 & OWNER_FIELD) - 1
 
     def sharers_of(self, block: int) -> Set[int]:
-        state = self._blocks.get(block)
-        return set(cores_of(state.sharers)) if state is not None else set()
+        return set(cores_of(decode(self._blocks.get(block, 0))[0]))
 
     def is_cached_anywhere(self, block: int) -> bool:
-        state = self._blocks.get(block)
-        return state is not None and bool(state.sharers)
+        # Any sharer bit or a cache owner (who holds a copy).
+        return self._blocks.get(block, 0) >> 1 != 0
 
     def has_exclusive(self, core: int, block: int) -> bool:
         """Whether ``core`` holds all tokens (may write without a transaction)."""
-        state = self._blocks.get(block)
-        return (
-            state is not None
-            and state.owner == core
-            and state.sharers == 1 << core
-        )
+        return self._blocks.get(block, 0) | 1 == sole_owner(core, True)
 
     def write_hit(self, core: int, block: int) -> bool:
         """Attempt a silent write: succeeds iff ``core`` holds all tokens.
@@ -133,22 +191,16 @@ class TokenRegistry:
         silent in MOESI), so hypervisor-initiated flushes know memory is
         stale. Returns whether the write may proceed without a GETM.
         """
-        state = self._blocks.get(block)
-        if (
-            state is not None
-            and state.owner == core
-            and state.sharers == 1 << core
-        ):
-            state.dirty = True
+        dirty = sole_owner(core, True)
+        if self._blocks.get(block, 0) | 1 == dirty:
+            self._blocks[block] = dirty
             return True
         return False
 
     def provider_for_vm(self, block: int, vm_id: int) -> Optional[int]:
         """The designated intra-VM provider core of ``block`` for ``vm_id``."""
-        state = self._blocks.get(block)
-        if state is None or state.providers is None:
-            return None
-        return state.providers.get(vm_id)
+        providers = self._providers.get(block)
+        return None if providers is None else providers.get(vm_id)
 
     # ------------------------------------------------------------------
     # State transitions applied by the protocol engine.
@@ -161,12 +213,12 @@ class TokenRegistry:
         yet, ``core`` becomes the VM's provider (first copy brought into
         the VM, Section VI-B).
         """
-        state = self._get_or_create(block)
-        state.sharers |= 1 << core
+        value = self._blocks.get(block, 0)
+        if value >> 1 & OWNER_FIELD != core + 1:
+            value |= 1 << (core + SHARER_SHIFT)
+        self._blocks[block] = value
         if vm_id is not None:
-            providers = state.providers
-            if providers is None:
-                providers = state.providers = {}
+            providers = self._providers.setdefault(block, {})
             providers.setdefault(vm_id, core)
             providers.setdefault(GLOBAL_PROVIDER, core)
 
@@ -179,13 +231,10 @@ class TokenRegistry:
         Returns the set of cores that must invalidate their copies (all
         previous sharers except the requester).
         """
-        state = self._get_or_create(block)
-        bit = 1 << core
-        invalidate = set(cores_of(state.sharers & ~bit))
-        state.sharers = bit
-        state.owner = core
-        state.dirty = dirty
-        state.providers = None
+        sharers = decode(self._blocks.get(block, 0))[0]
+        invalidate = set(cores_of(sharers & ~(1 << core)))
+        self._blocks[block] = sole_owner(core, dirty)
+        self._providers.pop(block, None)
         return invalidate
 
     def evicted(self, core: int, block: int, dirty: bool) -> str:
@@ -197,12 +246,19 @@ class TokenRegistry:
         ``"none"`` when the core held no registry state (already
         invalidated).
         """
-        state = self._blocks.get(block)
-        bit = 1 << core
-        if state is None or not state.sharers & bit:
+        value = self._blocks.get(block, 0)
+        outcome = "token_return"
+        if value >> 1 & OWNER_FIELD == core + 1:
+            # The owner token goes home, with the data when either copy
+            # is dirty; the other sharers keep theirs.
+            if value & 1 or dirty:
+                outcome = "writeback"
+            value = value >> SHARER_SHIFT << SHARER_SHIFT
+        elif value >> (core + SHARER_SHIFT) & 1:
+            value ^= 1 << (core + SHARER_SHIFT)
+        else:
             return "none"
-        state.sharers ^= bit
-        providers = state.providers
+        providers = self._providers.get(block)
         if providers is not None:
             for vm_id, provider in list(providers.items()):
                 if provider == core:
@@ -210,25 +266,24 @@ class TokenRegistry:
                     # brought into the VM takes it up (grant_shared).
                     del providers[vm_id]
             if not providers:
-                state.providers = None
-        outcome = "token_return"
-        if state.owner == core:
-            state.owner = MEMORY
-            if state.dirty or dirty:
-                outcome = "writeback"
-                state.dirty = False
-        if not state.sharers:
-            # All tokens back at memory: drop the record to bound memory use.
-            if state.owner == MEMORY and state.providers is None:
-                del self._blocks[block]
+                del self._providers[block]
+        # All tokens back at memory: the record goes, bounding memory use.
+        self._store(block, value)
         return outcome
 
     def invalidated(self, core: int, block: int) -> None:
         """Record a coherence invalidation of ``core``'s copy (tokens move
-        to the GETM requester, handled by :meth:`grant_exclusive`)."""
-        state = self._blocks.get(block)
-        if state is not None:
-            state.sharers &= ~(1 << core)
+        to the GETM requester, handled by :meth:`grant_exclusive`).
+
+        An owner's invalidated copy takes the owner token with it, so
+        until that grant the block reads as memory-owned and clean.
+        """
+        value = self._blocks.get(block, 0)
+        if value >> 1 & OWNER_FIELD == core + 1:
+            value = value >> SHARER_SHIFT << SHARER_SHIFT
+        else:
+            value &= ~(1 << (core + SHARER_SHIFT))
+        self._store(block, value)
 
     def flush_block_to_memory(self, block: int) -> bool:
         """Force the owner token (and dirty data) back to memory.
@@ -238,13 +293,9 @@ class TokenRegistry:
         all RO-shared requests. Sharers keep their (now clean) copies.
         Returns ``True`` if a dirty copy was written back.
         """
-        state = self._blocks.get(block)
-        if state is None:
-            return False
-        was_dirty = state.dirty
-        state.owner = MEMORY
-        state.dirty = False
-        return was_dirty
+        sharers, _, dirty = decode(self._blocks.get(block, 0))
+        self._store(block, sharers << SHARER_SHIFT)
+        return dirty
 
     def drop_block(self, block: int) -> Set[int]:
         """Forget a block entirely (hypervisor page-reassignment flush).
@@ -254,20 +305,13 @@ class TokenRegistry:
         recycled to another VM: stale copies would otherwise break the
         VM-private domain invariant.
         """
-        state = self._blocks.pop(block, None)
-        return set(cores_of(state.sharers)) if state is not None else set()
+        self._providers.pop(block, None)
+        return set(cores_of(decode(self._blocks.pop(block, 0))[0]))
 
     def assign_provider(self, block: int, vm_id: int, core: int) -> None:
         """Explicitly designate ``core`` as the provider of ``block`` for VM."""
-        state = self._get_or_create(block)
-        if state.providers is None:
-            state.providers = {}
-        state.providers[vm_id] = core
-
-    def blocks_cached_by(self, core: int) -> Iterable[int]:
-        """All blocks whose registry state includes ``core`` (slow; tests)."""
-        bit = 1 << core
-        return [b for b, s in self._blocks.items() if s.sharers & bit]
+        self._providers.setdefault(block, {})[vm_id] = core
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        blocks = self._blocks
+        return len(blocks) + sum(1 for b in self._providers if b not in blocks)

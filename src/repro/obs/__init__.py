@@ -23,52 +23,52 @@ aggregates:
 
 Everything here is opt-in: with tracing and metrics disabled the engine
 hot path is untouched and statistics stay bit-identical (the same
-guarantee ``--sanitize`` gives).
+guarantee ``--sanitize`` gives), and the package's names load on first
+use.
 """
 
-from repro.obs.events import (
-    EventKind,
-    MapEvent,
-    MigrationEvent,
-    PhaseEvent,
-    TraceEnd,
-    TraceHeader,
-    TransactionEvent,
-    ViolationEvent,
-)
-from repro.obs.reader import (
-    TraceError,
-    WindowAggregate,
-    aggregate_windows,
-    migration_phase_profile,
-    read_trace,
-)
-from repro.obs.recorder import MetricsRecorder
-from repro.obs.series import MetricsSeries, MetricsWindow
-from repro.obs.sinks import BinaryTraceSink, JsonlTraceSink, TraceSink, open_sink
-from repro.obs.tracer import Tracer, attach_observability
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "BinaryTraceSink",
-    "EventKind",
-    "JsonlTraceSink",
-    "MapEvent",
-    "MetricsRecorder",
-    "MetricsSeries",
-    "MetricsWindow",
-    "MigrationEvent",
-    "PhaseEvent",
-    "Tracer",
-    "TraceEnd",
-    "TraceError",
-    "TraceHeader",
-    "TraceSink",
-    "TransactionEvent",
-    "ViolationEvent",
-    "WindowAggregate",
-    "aggregate_windows",
-    "attach_observability",
-    "migration_phase_profile",
-    "open_sink",
-    "read_trace",
-]
+# Every public name -> the submodule defining it. The package imports
+# none of them up front: ``repro.sim.stats`` needs only
+# ``repro.obs.series``, and a cell that neither traces nor samples
+# metrics should not load the tracer, the sinks, the reader and the
+# event codecs. The module ``__getattr__`` below resolves a name on
+# first access, so ``from repro.obs import Tracer`` works as before.
+_SUBMODULE = {
+    "BinaryTraceSink": "sinks",
+    "EventKind": "events",
+    "JsonlTraceSink": "sinks",
+    "MapEvent": "events",
+    "MetricsRecorder": "recorder",
+    "MetricsSeries": "series",
+    "MetricsWindow": "series",
+    "MigrationEvent": "events",
+    "PhaseEvent": "events",
+    "Tracer": "tracer",
+    "TraceEnd": "events",
+    "TraceError": "reader",
+    "TraceHeader": "events",
+    "TraceSink": "sinks",
+    "TransactionEvent": "events",
+    "ViolationEvent": "events",
+    "WindowAggregate": "reader",
+    "aggregate_windows": "reader",
+    "attach_observability": "tracer",
+    "migration_phase_profile": "reader",
+    "open_sink": "sinks",
+    "read_trace": "reader",
+}
+
+
+def __getattr__(name: str) -> Any:
+    submodule = _SUBMODULE.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = list(_SUBMODULE)

@@ -17,8 +17,11 @@ safe:
     and invalidation, each core's :class:`ResidenceTracker` count per VM
     equals the true number of tracked lines of that VM in the L2.
 (c) **SWMR / state invariants** — the registry's sharer set for the
-    requested block equals the true holder set, the owner token is held
-    by a sharer or by memory, and a dirty block always has a cache owner.
+    requested block equals the true holder set, a dirty block always
+    has a cache owner, and every provider designation names a sharer.
+    (The owner token is held by a sharer or by memory by construction:
+    the registry's value format cannot name an owner without a copy, so
+    an owner whose line is gone fails the sharer-set check.)
 (d) **Domain soundness** — under the non-speculative policies, a VM's
     vCPU map covers every core holding the VM's private data.
 
@@ -393,17 +396,7 @@ class CoherenceSanitizer:
             return
         if state is None:
             return
-        if state.owner != MEMORY and state.owner not in sharers:
-            self.report(
-                SanitizerViolation(
-                    SanitizerCheck.STATE,
-                    "owner token held by a core without a copy",
-                    cycle=self.clock(),
-                    block=block,
-                    holders=holders,
-                    details={"owner": state.owner},
-                )
-            )
+        self._check_providers(block, state, sharers, holders, self.clock())
         if state.dirty and state.owner == MEMORY:
             self.report(
                 SanitizerViolation(
@@ -412,6 +405,29 @@ class CoherenceSanitizer:
                     cycle=self.clock(),
                     block=block,
                     holders=holders,
+                )
+            )
+
+    def _check_providers(self, block, state, sharers, holders, cycle) -> None:
+        """Every provider designation of ``block`` names a core with a copy.
+
+        The designation leaves with its copy (an eviction) or with every
+        copy (a GETM's exclusive grant, a page drop), so a table never
+        outlives the copies it names. The batched kernel's bulk-miss seam
+        relies on that: a block with no copy has no table to clear.
+        """
+        if not state.providers:
+            return
+        stray = sorted(set(state.providers.values()) - set(sharers))
+        if stray:
+            self.report(
+                SanitizerViolation(
+                    SanitizerCheck.STATE,
+                    "provider designation on a core without a copy",
+                    cycle=cycle,
+                    block=block,
+                    holders=holders,
+                    details={"providers": stray},
                 )
             )
 
@@ -504,7 +520,7 @@ class CoherenceSanitizer:
                     )
                 )
         registry = self._registry
-        for block, state in registry._blocks.items():
+        for block, state in registry.records():
             holders = true_holders.get(block, set())
             sharers = cores_of(state.sharers)
             if set(sharers) != holders:
@@ -518,17 +534,7 @@ class CoherenceSanitizer:
                         details={"sharers": sharers},
                     )
                 )
-            if state.owner != MEMORY and state.owner not in sharers:
-                self.report(
-                    SanitizerViolation(
-                        SanitizerCheck.STATE,
-                        "owner token held by a core without a copy",
-                        cycle=cycle,
-                        block=block,
-                        holders=holders,
-                        details={"owner": state.owner},
-                    )
-                )
+            self._check_providers(block, state, sharers, holders, cycle)
         for block, holders in true_holders.items():
             if holders and registry.state_of(block) is None:
                 self.report(

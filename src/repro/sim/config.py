@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.coherence.registry import MAX_CORES
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.interconnect.builder import check_topology_config
 
@@ -119,6 +120,11 @@ class SimConfig:
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
+        if self.num_cores > MAX_CORES:
+            raise ValueError(
+                f"num_cores must be <= {MAX_CORES} (the token registry's "
+                f"owner field), got {self.num_cores}"
+            )
         check_topology_config(self)
         if self.num_vms * self.vcpus_per_vm > self.num_cores:
             raise ValueError(

@@ -44,9 +44,9 @@ sample, the end of a phase), it holds exactly the value the reference
 loop gives it. The loop updates counters in the reference order; the
 only rewrites are call-free spellings of identical operations (``in`` +
 subscript for ``dict.get``, ``del d[k]; d[k] = v`` for the LRU touch,
-mask tests on the registry's core-bitmask sharer sets, with
-``state.sharers == core_bits[core]`` for "this core is the only
-sharer", hoisted geometry constants and per-core set lists, the phase
+shifts and masks on the registry's packed values, with one comparison
+against the core's sole-owner value for "this core holds every token",
+hoisted geometry constants and per-core set lists, the phase
 budget carried inside the heap tuples, and ``heapreplace``/local-min
 scheduling that provably pops the same (time, seq) sequence as
 push-then-pop). One deliberate
@@ -59,11 +59,11 @@ between: the sanitizer and the tracer, which read counters mid-phase,
 turn the seam off.
 
 Allocation: a cache line is an int tag in its set dict
-(:mod:`repro.cache.line`: VM id and dirty bit), so fills, promotes and
-dirty marks allocate nothing. Registry records the seam retires (bare
-records: an int sharer mask and no provider table) are reused for the
-blocks that replace them, after every field still needed from the old
-block has been read.
+(:mod:`repro.cache.line`: VM id and dirty bit), and a block's token
+state is one int in the registry (:mod:`repro.coherence.registry`:
+sharers, owner, dirty bit), so fills, promotes, grants and dirty marks
+allocate nothing beyond a dict slot. A block held by its sole owner,
+nearly every record, is a small int CPython preallocates.
 """
 
 from __future__ import annotations
@@ -75,8 +75,10 @@ from typing import Dict, List, Tuple
 from repro.coherence.registry import (
     GLOBAL_PROVIDER,
     MEMORY,
-    BlockState,
+    OWNER_FIELD,
+    SHARER_SHIFT,
     mask_of,
+    sole_owner,
 )
 from repro.core.filter import VirtualSnoopFilter
 from repro.core.residence import UNTRACKED_VM, ResidenceTracker
@@ -175,7 +177,8 @@ class BatchedEngine(SimulationEngine):
         write_to_page = self._write_to_page
         page_shift = self._page_shift
         rw_shared_translate = self._rw_shared_translate
-        reg_blocks = self.system.registry._blocks
+        registry = self.system.registry
+        reg_blocks = registry._blocks
         steppers = self._steppers
         vm_ids = [v.vm_id for v in vcpus]
         vm_memos = [self._xlate_memo[v.vm_id] for v in vcpus]
@@ -196,8 +199,10 @@ class BatchedEngine(SimulationEngine):
         l1_ways = any_hierarchy._l1_ways
         l1_latency = any_hierarchy.l1_latency
         l12_latency = l1_latency + any_hierarchy.l2_latency
-        # Registry sharer sets are core bitmasks (bit c = core c).
-        core_bits = [1 << core for core in range(len(caches))]
+        # Packed registry values (repro.coherence.registry): a store hit
+        # is silent iff the block's value, dirty bit aside, is the core's
+        # sole-owner value.
+        owned_dirty = [sole_owner(core, True) for core in range(len(caches))]
 
         # --- bulk-miss seam (DESIGN §6) ------------------------------
         # Commits a transaction inline instead of descending through
@@ -229,11 +234,11 @@ class BatchedEngine(SimulationEngine):
         #   final values and sampled windows can observe them (the
         #   sanitizer and tracer, which read them mid-phase, gate the
         #   seam off), and sums do not depend on the order of addition;
-        # - allocations. Lines are int tags, so a fill builds no line
-        #   object, and a retired registry record is pooled and reset
-        #   before it serves another block. No retired record is
-        #   referenced from anywhere else, and every dict insertion (so
-        #   every LRU and registry order) is unchanged.
+        # - allocations. Lines are int tags and registry records are
+        #   packed ints, so a fill builds no line object and a grant is
+        #   one dict store; a new block enters the registry at its grant
+        #   and a retired one leaves when its value reaches 0, so every
+        #   dict insertion (every LRU and registry order) is unchanged.
         #
         # Gated off whenever an observer (sanitizer, tracer, outcome
         # observer) is attached: those are wired through the seams the
@@ -284,7 +289,15 @@ class BatchedEngine(SimulationEngine):
             domains = snoop_filter.domains
             memory_holder = MEMORY
             global_provider = GLOBAL_PROVIDER
-            block_state = BlockState
+            shift = SHARER_SHIFT
+            owner_field = OWNER_FIELD
+            prov_tbl = registry._providers
+            prov_pop = prov_tbl.pop
+            core_bits = [1 << core for core in range(len(caches))]
+            # A sharer's bit in a packed value; the value of a block its
+            # sole owner holds clean (the MOESI E grant).
+            other_bits = [bit << shift for bit in core_bits]
+            owned_clean = [sole_owner(core) for core in range(len(caches))]
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             # Read once per phase: observers are attached before a run.
@@ -304,9 +317,6 @@ class BatchedEngine(SimulationEngine):
             # friend-domain mask] (the last two for Table VI).
             memo: Dict[tuple, list] = {}
             memo_version = domains.version
-            # Registry records retired by the seam, reused before any
-            # new BlockState is built.
-            records: List[BlockState] = []
             # The contention term, recomputed when utilisation moves.
             last_u = None
             contention = 0
@@ -373,19 +383,17 @@ class BatchedEngine(SimulationEngine):
                     _, _, _, intra_mask, friend_mask,
                 ) = entry
                 core_bit = core_bits[core]
-                state = reg_blocks.get(block)
-                owner = state.owner if state is not None else memory_holder
+                # The registry value (0: no record) and its owner field,
+                # owner + 1 (0: memory owns).
+                value = reg_blocks.get(block, 0)
+                field = value >> 1 & owner_field
+                owner = field - 1
                 if is_write:
                     # _try_getm's success test: attempt 0 reaches every
-                    # other sharer and any cache owner.
-                    if state is not None and (
-                        state.sharers & ~(dest_mask | core_bit)
-                        or (
-                            owner != memory_holder
-                            and owner != core
-                            and not (dest_mask >> owner) & 1
-                        )
-                    ):
+                    # other sharer, a cache owner included (the owner's
+                    # bit is (1 << field) >> 1).
+                    sharers = value >> shift | 1 << field >> 1
+                    if sharers & ~(dest_mask | core_bit):
                         reason = (
                             "getm-contended"
                             if l2_set is not None
@@ -426,10 +434,8 @@ class BatchedEngine(SimulationEngine):
                         # Inlined _record_ro_holders (Table VI).
                         cstats.ro_misses += 1
                         holders = (
-                            state.sharers & ~core_bit
-                            if state is not None
-                            else 0
-                        )
+                            value >> shift | 1 << field >> 1
+                        ) & ~core_bit
                         if not holders:
                             cstats.ro_holder_memory_only += 1
                         else:
@@ -438,20 +444,6 @@ class BatchedEngine(SimulationEngine):
                                 cstats.ro_holder_intra_vm += 1
                             elif holders & friend_mask:
                                 cstats.ro_holder_friend_vm += 1
-                # A block the registry has never seen gets its record
-                # now; no registry insertion lies between here and the
-                # reference path's grant, and a fresh record reads like
-                # an absent one to every test below.
-                if state is None:
-                    if records:
-                        # The retire test left sharers 0, owner MEMORY
-                        # and providers None: BlockState() defaults but
-                        # for dirty.
-                        state = records.pop()
-                        state.dirty = False
-                    else:
-                        state = block_state()
-                    reg_blocks[block] = state
                 # Request multicast (inlined network.multicast).
                 msgs = mc_count
                 fh = req_flits * mc_total_hops if mc_count else 0
@@ -466,13 +458,10 @@ class BatchedEngine(SimulationEngine):
                 if is_write:
                     # grant_exclusive (it precedes the data leg in
                     # _try_getm); invalidations follow the data leg.
-                    sharers = state.sharers
                     had_copy = sharers & core_bit
                     victims = sharers ^ had_copy
-                    state.sharers = core_bit
-                    state.owner = core
-                    state.dirty = True
-                    state.providers = None
+                    reg_blocks[block] = owned_dirty[core]
+                    prov_pop(block, None)
                     if had_copy:
                         cstats.upgrades += 1
                         completion = 0
@@ -481,7 +470,7 @@ class BatchedEngine(SimulationEngine):
                     # with its own DATA leg (a friend-VM read reached by
                     # both the own-VM and the friend-VM provider pays
                     # for both copies); the fastest one serves.
-                    providers = state.providers
+                    providers = prov_tbl.get(block)
                     for provider_vm in (
                         () if providers is None else plan.provider_vms
                     ):
@@ -544,10 +533,11 @@ class BatchedEngine(SimulationEngine):
                 # ---- registry grant (reads) / invalidations (GETM) ----
                 if ro_read:
                     # grant_shared(vm_id=...): both setdefaults, in order.
-                    state.sharers |= core_bit
-                    providers = state.providers
+                    # A missing core holds no copy, so it is not the owner
+                    # and its bit is a plain sharer bit.
+                    reg_blocks[block] = value | other_bits[core]
                     if providers is None:
-                        state.providers = {vm_id: core, global_provider: core}
+                        prov_tbl[block] = {vm_id: core, global_provider: core}
                     else:
                         providers.setdefault(vm_id, core)
                         providers.setdefault(global_provider, core)
@@ -575,16 +565,14 @@ class BatchedEngine(SimulationEngine):
                         )
                         if leg > completion:
                             completion = leg
-                elif owner != memory_holder:
-                    state.sharers |= core_bit
-                elif not state.sharers:
-                    # MOESI E state (grant_exclusive, dirty=False).
-                    state.sharers = core_bit
-                    state.owner = core
-                    state.dirty = False
-                    state.providers = None
+                elif value:
+                    # A cache owner or other sharers: grant_shared.
+                    reg_blocks[block] = value | other_bits[core]
                 else:
-                    state.sharers |= core_bit
+                    # No copy anywhere: the MOESI E state (grant_exclusive,
+                    # dirty=False). A block with no copy has no provider
+                    # table (each names a copy; the sanitizer checks).
+                    reg_blocks[block] = owned_clean[core]
                 # ---- fill (a store upgrade's line is resident: no
                 # fill; dirty == is_write here: fill_dirty is True
                 # exactly for GETM, where is_write is True already) ----
@@ -627,23 +615,24 @@ class BatchedEngine(SimulationEngine):
                     # (and dirty data) travel back to memory. The send's
                     # latency is discarded by the reference too, so only
                     # its traffic is charged.
-                    vstate = reg_blocks.get(victim_block)
-                    if vstate is not None and vstate.sharers & core_bit:
-                        vstate.sharers ^= core_bit
-                        vproviders = vstate.providers
+                    vvalue = reg_blocks.get(victim_block, 0)
+                    owned = vvalue >> 1 & owner_field == core + 1
+                    if owned or vvalue & other_bits[core]:
+                        if owned:
+                            # The owner token goes home, with the data
+                            # when either copy is dirty.
+                            writeback = vvalue & 1 or victim & 1
+                            vvalue = vvalue >> shift << shift
+                        else:
+                            writeback = False
+                            vvalue ^= other_bits[core]
+                        vproviders = prov_tbl.get(victim_block)
                         if vproviders is not None:
                             for pvm, prov in list(vproviders.items()):
                                 if prov == core:
                                     del vproviders[pvm]
                             if not vproviders:
-                                vstate.providers = None
-                        writeback = False
-                        if vstate.owner == core:
-                            # The owner token goes home, with the data
-                            # when either copy is dirty.
-                            vstate.owner = memory_holder
-                            writeback = vstate.dirty or victim & 1
-                            vstate.dirty = False
+                                del prov_tbl[victim_block]
                         if writeback:
                             memory.writebacks += 1
                             flits = wb_flits
@@ -653,14 +642,11 @@ class BatchedEngine(SimulationEngine):
                         if core != mem_node:
                             msgs += 1
                             fh += flits * hops_tbl[core][mem_node]
-                        if (
-                            not vstate.sharers
-                            and vstate.owner == memory_holder
-                            and vstate.providers is None
-                        ):
+                        if vvalue:
+                            reg_blocks[victim_block] = vvalue
+                        else:
+                            # All tokens back at memory.
                             del reg_blocks[victim_block]
-                            if len(records) < 64:
-                                records.append(vstate)
                 if msgs:
                     network.messages += msgs
                     network.flit_hops += fh
@@ -780,8 +766,7 @@ class BatchedEngine(SimulationEngine):
                     is_write
                     and not (
                         block in reg_blocks
-                        and (state := reg_blocks[block]).owner == core
-                        and state.sharers == core_bits[core]
+                        and reg_blocks[block] | 1 == owned_dirty[core]
                     )
                 ):
                     clock.now = local_time
@@ -799,7 +784,7 @@ class BatchedEngine(SimulationEngine):
                         )
                     latency += extra
                 elif is_write:
-                    state.dirty = True
+                    reg_blocks[block] = owned_dirty[core]
 
                 # ---- schedule (provably the reference pop order) -----
                 next_time = local_time + think + latency

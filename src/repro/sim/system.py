@@ -17,13 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 from repro.cache.hierarchy import PrivateHierarchy
 from repro.cache.line import make_tag, tag_dirty, tag_vm
 from repro.coherence.protocol import TokenProtocol
-from repro.coherence.registry import (
-    MEMORY,
-    BlockState,
-    TokenRegistry,
-    cores_of,
-    mask_of,
-)
+from repro.coherence.registry import MEMORY, TokenRegistry, cores_of, mask_of
 from repro.core.filter import VirtualSnoopFilter
 from repro.hypervisor.hypervisor import Hypervisor, PlacementListener
 from repro.hypervisor.memory import HostPageInfo, MemoryManager
@@ -82,12 +76,9 @@ class CoherenceBridge(PlacementListener):
     def on_page_shared(self, host_page: int) -> None:
         first_block = self.layout.block_in_page(host_page, 0)
         for block in range(first_block, first_block + self.layout.blocks_per_page):
-            state = self.registry.state_of(block)
-            if state is None:
-                continue
             # The dirty data travels from the owner's cache; the flush
             # hands the owner token back to memory, so read it first.
-            owner = state.owner
+            owner = self.registry.owner_of(block)
             if self.registry.flush_block_to_memory(block):
                 self.memory_ctrl.writeback()
                 self.stats.flush_writebacks += 1
@@ -259,7 +250,7 @@ class SimulatedSystem:
                 state.dirty,
                 list(state.providers.items()) if state.providers else [],
             )
-            for block, state in self.registry._blocks.items()
+            for block, state in self.registry.records()
         ]
         caches = {
             core: {
@@ -367,16 +358,10 @@ class SimulatedSystem:
             hierarchy = self.caches[core]
             _restore_sets(hierarchy._l1_sets, captured["l1"])
             _restore_sets(hierarchy._l2_sets, captured["l2"])
-        blocks = self.registry._blocks
-        blocks.clear()
-        for block, sharers, owner, dirty, providers in state["registry"]:
-            record = BlockState()
-            record.sharers = mask_of(sharers)
-            record.owner = owner
-            record.dirty = dirty
-            if providers:
-                record.providers = dict(providers)
-            blocks[block] = record
+        self.registry.load(
+            (block, mask_of(sharers), owner, dirty, dict(providers))
+            for block, sharers, owner, dirty, providers in state["registry"]
+        )
         if is_vsnoop:
             for core, counts in state["filter"]["residence"].items():
                 tracker = self.snoop_filter.trackers[core]

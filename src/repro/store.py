@@ -73,7 +73,9 @@ SNAPSHOT_ENV_VAR = "REPRO_SNAPSHOTS"
 # Entries stamped with an older version are skipped, never served.
 # Performance-only rewrites that are proven bit-identical (e.g. by the
 # golden corpus) do NOT need a bump. See DESIGN.md for the convention.
-STATE_VERSION = 1
+# 2: a cell with no warm-up no longer counts the build's traffic (the
+# initial placements' vCPU-map multicasts) in its measured stats.
+STATE_VERSION = 2
 
 _DISABLED_VALUES = {"0", "off", "none", "disabled"}
 

@@ -1,5 +1,7 @@
 """Tests for the token registry."""
 
+import tracemalloc
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +10,8 @@ from repro.coherence.registry import (
     MEMORY,
     TokenRegistry,
     cores_of,
+    decode,
+    encode,
     mask_of,
 )
 
@@ -120,27 +124,96 @@ class TestFlush:
         reg.invalidated(1, 0x10)
         assert reg.sharers_of(0x10) == set()
 
+    def test_invalidated_owner_takes_the_owner_token(self):
+        reg = TokenRegistry()
+        reg.grant_shared(1, 0x10)
+        reg.grant_exclusive(2, 0x10, dirty=False)
+        reg.grant_shared(3, 0x10)
+        reg.invalidated(2, 0x10)
+        assert reg.owner_of(0x10) == MEMORY
+        assert reg.sharers_of(0x10) == {3}
+        assert not reg.state_of(0x10).dirty
+
 
 class TestEncoding:
+    def test_sole_owner_values_are_small_ints(self):
+        reg = TokenRegistry()
+        for core in (0, 5, 15, 126):
+            reg.grant_exclusive(core, 0x10, dirty=False)
+            clean = reg._blocks[0x10]
+            assert reg.write_hit(core, 0x10)
+            dirty = reg._blocks[0x10]
+            assert type(clean) is int and type(dirty) is int
+            assert clean < 257 and dirty < 257
+            # CPython preallocates ints up to 256: no object per record.
+            assert clean is int(str(clean)) and dirty is int(str(dirty))
+            assert decode(clean) == (1 << core, core, False)
+            assert decode(dirty) == (1 << core, core, True)
+
     def test_one_sharer_record_holds_an_int_and_no_table(self):
         reg = TokenRegistry()
         reg.grant_shared(3, 0x10)
+        assert type(reg._blocks[0x10]) is int
+        assert decode(reg._blocks[0x10]) == (1 << 3, MEMORY, False)
+        assert 0x10 not in reg._providers
+        assert reg.state_of(0x10).providers is None
+
+    def test_two_sharer_record_decodes_to_both_cores(self):
+        reg = TokenRegistry()
+        reg.grant_exclusive(9, 0x10)
+        reg.grant_shared(2, 0x10)
+        assert decode(reg._blocks[0x10]) == (mask_of([2, 9]), 9, True)
+        assert reg.sharers_of(0x10) == {2, 9}
         state = reg.state_of(0x10)
-        assert type(state.sharers) is int
-        assert state.providers is None
+        assert (state.sharers, state.owner, state.dirty) == (mask_of([2, 9]), 9, True)
+
+    def test_encode_inverts_decode(self):
+        for sharers, owner, dirty in [
+            (0, MEMORY, False),
+            (mask_of([0, 3]), MEMORY, False),
+            (mask_of([3]), 3, True),
+            (mask_of([1, 143]), 143, False),
+            (mask_of([0, 7, 64, 143]), 7, True),
+        ]:
+            assert decode(encode(sharers, owner, dirty)) == (sharers, owner, dirty)
 
     def test_provider_table_goes_when_its_last_designation_does(self):
         reg = TokenRegistry()
-        reg.grant_shared(1, 0x10, vm_id=5)
         reg.grant_shared(2, 0x10)
+        assert 0x10 not in reg._providers
+        reg.grant_shared(1, 0x10, vm_id=5)
+        assert reg._providers[0x10] == {5: 1, GLOBAL_PROVIDER: 1}
         assert reg.state_of(0x10).providers == {5: 1, GLOBAL_PROVIDER: 1}
+        reg.grant_shared(3, 0x10, vm_id=6)
+        assert reg._providers[0x10] == {5: 1, GLOBAL_PROVIDER: 1, 6: 3}
         reg.evicted(1, 0x10, dirty=False)
+        assert reg._providers[0x10] == {6: 3}
+        reg.evicted(3, 0x10, dirty=False)
+        assert 0x10 not in reg._providers
         assert reg.state_of(0x10).providers is None
+        assert reg.sharers_of(0x10) == {2}
 
     def test_mask_round_trip_is_ascending(self):
         cores = [143, 0, 7, 64]
         assert cores_of(mask_of(cores)) == [0, 7, 64, 143]
         assert cores_of(0) == []
+
+    def test_sole_owner_grants_allocate_no_record(self):
+        # The block keys exist first, so only the registry's own
+        # storage is measured: its dict slots and, per record, whatever
+        # object the value needs.
+        blocks = [(1 << 40) + block for block in range(10_000)]
+        reg = TokenRegistry()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index, block in enumerate(blocks):
+                reg.grant_exclusive(index % 16, block, dirty=bool(index & 1))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(reg) == len(blocks)
+        assert grown / len(blocks) < 40, grown / len(blocks)
 
 
 class SetModel:
@@ -185,8 +258,15 @@ class SetModel:
 
     def invalidated(self, core, block):
         record = self.records.get(block)
-        if record is not None:
-            record[0].discard(core)
+        if record is None:
+            return
+        record[0].discard(core)
+        if record[1] == core:
+            # The owner token leaves with the owner's copy.
+            record[1] = MEMORY
+            record[2] = False
+        if not record[0] and record[1] == MEMORY and not record[3]:
+            del self.records[block]
 
     def drop_block(self, block):
         record = self.records.pop(block, None)
@@ -246,9 +326,15 @@ def test_property_masks_agree_with_the_set_model(ops):
                 )
             if state is not None:
                 assert state.dirty == record[2]
+                assert (state.sharers, state.owner) == (mask_of(record[0]), record[1])
                 # Same provider order (snapshots write it), and no empty
                 # table left behind.
                 assert state.providers is None or state.providers
                 assert list((state.providers or {}).items()) == list(
                     record[3].items()
                 )
+        # Every stored value decodes to its model record; none is 0.
+        for block, value in reg._blocks.items():
+            assert value != 0, (name, block)
+            record = model.records[block]
+            assert decode(value) == (mask_of(record[0]), record[1], record[2])

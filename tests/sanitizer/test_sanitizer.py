@@ -10,6 +10,7 @@ that never fires proves nothing.
 import pytest
 
 from repro.cli import main
+from repro.coherence.registry import decode, encode
 from repro.core.filter import SnoopPolicy
 from repro.sanitizer import MAX_KEPT_VIOLATIONS, SanitizerCheck, SanitizerViolation
 from repro.sim import SimConfig, build_system, run_simulation
@@ -136,12 +137,26 @@ def test_tracker_corruption_raises_residence_violation():
 
 def test_registry_corruption_raises_state_violation():
     system = run_small()
-    block, state = next(iter(system.registry._blocks.items()))
-    state.sharers |= 1 << (max(system.caches) + 7)  # a core that holds nothing
+    block, value = next(iter(system.registry._blocks.items()))
+    sharers, owner, dirty = decode(value)
+    ghost = max(system.caches) + 7  # a core that holds nothing
+    system.registry._blocks[block] = encode(sharers | 1 << ghost, owner, dirty)
     with pytest.raises(SanitizerViolation) as exc:
         system.sanitizer.audit()
     assert exc.value.check is SanitizerCheck.STATE
     assert exc.value.block == block
+
+
+def test_stray_provider_designation_raises_state_violation():
+    system = run_small()
+    block = next(iter(system.registry._blocks))
+    ghost = max(system.caches) + 7  # a core that holds nothing
+    system.registry.assign_provider(block, system.vms[0].vm_id, ghost)
+    with pytest.raises(SanitizerViolation) as exc:
+        system.sanitizer.audit()
+    assert exc.value.check is SanitizerCheck.STATE
+    assert exc.value.block == block
+    assert exc.value.details == {"providers": [ghost]}
 
 
 def test_shadow_corruption_raises_shadow_violation():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.registry import MAX_CORES
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.sim.config import SimConfig
 
@@ -84,6 +85,10 @@ class TestValidation:
     def test_overcommit_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(num_vms=5, vcpus_per_vm=4)
+
+    def test_core_count_within_registry_owner_field(self):
+        with pytest.raises(ValueError, match="owner field"):
+            SimConfig(num_cores=MAX_CORES + 1, mesh_width=MAX_CORES + 1, mesh_height=1)
 
     def test_bad_migration_period(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,9 @@ class TestAccessBudgets:
             for hierarchy in system.caches.values()
         }
         assert counters == {(0, 0, 0)}
+        # No build-time traffic either, warm-up or not.
+        assert stats.network_bytes == 0
+        assert stats.network_messages == 0
 
 
 class TestRefillEdges:

@@ -453,40 +453,6 @@ class TestSeamGate:
         assert_same_end_state(system, reference)
 
 
-def assert_no_shared_records(system) -> None:
-    """Every registry record has exactly one home.
-
-    The seam reuses retired records instead of allocating; a reused
-    record that stayed reachable from its old block would show up here
-    as one ``BlockState`` under two keys. (Cache lines are int tags, so
-    they have no identity to share.)
-    """
-    records = {}
-    for block, state in system.registry._blocks.items():
-        assert id(state) not in records, (records[id(state)], block)
-        records[id(state)] = block
-
-
-class TestObjectReuse:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            replace(WRITE_HEAVY, content_sharing_enabled=True),
-            SimConfig.migration_study(
-                snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
-                migration_period_ms=0.1,
-                accesses_per_vcpu=5000,
-                warmup_accesses_per_vcpu=2000,
-            ),
-        ],
-        ids=["write-heavy-content", "migration-counter-threshold"],
-    )
-    def test_reused_lines_and_records_have_one_home(self, config):
-        system, engine = run_system(replace(config, kernel="batched"))
-        assert engine.bulk_summary()["bulk_transacts"] > 0
-        assert_no_shared_records(system)
-
-
 class TestBailHistogram:
     def test_miss_heavy_majority_inline(self):
         _, engine = run_system(replace(MISS_HEAVY, kernel="batched"))

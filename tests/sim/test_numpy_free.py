@@ -5,8 +5,10 @@ cache substrate, runs one tiny batched cell, and must not have loaded
 NumPy on the way — whether or not NumPy is installed. A second fresh
 interpreter imports only what a single cell needs (as
 ``bench/child.py`` does) and must not have loaded the campaign
-executor, the result store or ``multiprocessing``; the runner's names
-must still resolve through ``repro.sim`` afterwards.
+executor, the result store or ``multiprocessing``, nor the tracer or
+the sanitizer; the runner's names must still resolve through
+``repro.sim`` afterwards, and the observability and sanitizer names
+through their packages.
 """
 
 import os
@@ -64,6 +66,21 @@ loaded = [
     if name in sys.modules
 ]
 assert not loaded, f"a single cell loaded {loaded}"
+# Tracing and sanitizing are opt-in: a plain cell loads neither.
+unused = [
+    name
+    for name in (
+        "repro.obs.tracer",
+        "repro.obs.reader",
+        "repro.obs.sinks",
+        "repro.obs.events",
+        "repro.obs.recorder",
+        "repro.sanitizer.core",
+        "repro.sanitizer.shadow",
+    )
+    if name in sys.modules
+]
+assert not unused, f"a plain cell loaded {unused}"
 from repro.sim import SimTask, run_matrix
 import repro.sim.runner
 
@@ -71,6 +88,19 @@ assert run_matrix is repro.sim.runner.run_matrix
 assert SimTask is repro.sim.runner.SimTask
 missing = [name for name in repro.sim.__all__ if not hasattr(repro.sim, name)]
 assert not missing, missing
+
+from repro.obs import Tracer
+from repro.sanitizer import ShadowCache
+import repro.obs
+import repro.obs.tracer
+import repro.sanitizer
+import repro.sanitizer.shadow
+
+assert Tracer is repro.obs.tracer.Tracer
+assert ShadowCache is repro.sanitizer.shadow.ShadowCache
+for package in (repro.obs, repro.sanitizer):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, (package.__name__, missing)
 """
 
 
