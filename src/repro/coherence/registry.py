@@ -36,10 +36,15 @@ held by its sole owner on core ``c``, is ``(c + 1) << 1 | dirty``
 CPython preallocates, so such a block costs its dict slot and nothing
 else. Provider designations live in a side dict keyed by block
 (``TokenRegistry._providers``), with an entry only while some
-designation does. :func:`decode` and :meth:`TokenRegistry.state_of`
-unpack a value for the cold readers; the batched kernel's bulk-miss
-seam is the one caller outside this module that reads and writes raw
-values.
+designation does. A designation names a core holding a copy and leaves
+with it, so every table's block has a record. No table's block is
+cache-owned: only an RO-shared read designates, memory owns an RO-shared
+page's blocks (marking a page content-shared flushes its owners), and a
+cache takes the owner token only by an exclusive grant, which drops the
+table. The sanitizer checks both. :func:`decode` and
+:meth:`TokenRegistry.state_of` unpack a value for the cold readers;
+the batched kernel's bulk-miss seam is the one caller outside this
+module that reads and writes raw values.
 """
 
 from __future__ import annotations
@@ -147,9 +152,6 @@ class TokenRegistry:
         providers = self._providers
         for block, value in self._blocks.items():
             yield block, TokenState(*decode(value), providers.get(block))
-        for block, table in providers.items():
-            if block not in self._blocks:
-                yield block, TokenState(0, MEMORY, False, table)
 
     def load(
         self, records: Iterable[Tuple[int, int, int, bool, Dict[int, int]]]
@@ -271,20 +273,6 @@ class TokenRegistry:
         self._store(block, value)
         return outcome
 
-    def invalidated(self, core: int, block: int) -> None:
-        """Record a coherence invalidation of ``core``'s copy (tokens move
-        to the GETM requester, handled by :meth:`grant_exclusive`).
-
-        An owner's invalidated copy takes the owner token with it, so
-        until that grant the block reads as memory-owned and clean.
-        """
-        value = self._blocks.get(block, 0)
-        if value >> 1 & OWNER_FIELD == core + 1:
-            value = value >> SHARER_SHIFT << SHARER_SHIFT
-        else:
-            value &= ~(1 << (core + SHARER_SHIFT))
-        self._store(block, value)
-
     def flush_block_to_memory(self, block: int) -> bool:
         """Force the owner token (and dirty data) back to memory.
 
@@ -308,10 +296,5 @@ class TokenRegistry:
         self._providers.pop(block, None)
         return set(cores_of(decode(self._blocks.pop(block, 0))[0]))
 
-    def assign_provider(self, block: int, vm_id: int, core: int) -> None:
-        """Explicitly designate ``core`` as the provider of ``block`` for VM."""
-        self._providers.setdefault(block, {})[vm_id] = core
-
     def __len__(self) -> int:
-        blocks = self._blocks
-        return len(blocks) + sum(1 for b in self._providers if b not in blocks)
+        return len(self._blocks)

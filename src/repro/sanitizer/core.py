@@ -409,12 +409,16 @@ class CoherenceSanitizer:
             )
 
     def _check_providers(self, block, state, sharers, holders, cycle) -> None:
-        """Every provider designation of ``block`` names a core with a copy.
+        """Every provider designation of ``block`` names a core with a
+        copy, and a block with a provider table is memory-owned.
 
         The designation leaves with its copy (an eviction) or with every
         copy (a GETM's exclusive grant, a page drop), so a table never
-        outlives the copies it names. The batched kernel's bulk-miss seam
-        relies on that: a block with no copy has no table to clear.
+        outlives the copies it names. Only RO-shared reads designate, and
+        a cache takes the owner token only by an exclusive grant, which
+        drops the table. The batched kernel's bulk-miss seam relies on
+        both: a block with no copy has no table to clear, and an owned
+        victim has no designation to retire.
         """
         if not state.providers:
             return
@@ -428,6 +432,17 @@ class CoherenceSanitizer:
                     block=block,
                     holders=holders,
                     details={"providers": stray},
+                )
+            )
+        elif state.owner != MEMORY:
+            self.report(
+                SanitizerViolation(
+                    SanitizerCheck.STATE,
+                    "provider table on a cache-owned block",
+                    cycle=cycle,
+                    block=block,
+                    holders=holders,
+                    details={"owner": state.owner},
                 )
             )
 

@@ -35,7 +35,8 @@ bail-out histogram (``BatchedEngine.bail_reasons``) records why
 transactions stayed on the reference path; it lives on the engine,
 never on ``SimStats``, which stays byte-identical across kernels by
 contract. The seam holds no branch for a case no run reaches (an
-RO-shared store, a read miss by the block's owner):
+RO-shared store, a read miss by the block's owner, a resident victim
+the registry does not list, a provider table on a cache-owned block):
 ``tests/sim/test_kernel_reachability.py`` fails when a line of the
 loop, the seam or its flush goes unexecuted.
 
@@ -46,17 +47,20 @@ only rewrites are call-free spellings of identical operations (``in`` +
 subscript for ``dict.get``, ``del d[k]; d[k] = v`` for the LRU touch,
 shifts and masks on the registry's packed values, with one comparison
 against the core's sole-owner value for "this core holds every token",
-hoisted geometry constants and per-core set lists, the phase
-budget carried inside the heap tuples, and ``heapreplace``/local-min
-scheduling that provably pops the same (time, seq) sequence as
-push-then-pop). One deliberate
+hoisted geometry constants, per-core set lists and per-core hop
+arithmetic to the memory controller, the phase budget carried inside
+the heap tuples, and ``heapreplace``/local-min scheduling that provably
+pops the same (time, seq) sequence as push-then-pop). One deliberate
 exception: the bulk-miss seam defers its per-transaction counters
 (transactions and snoops, by initiator and page type, and the GETS and
-GETM counts) to per-transaction-class tallies. It adds them to the
-stats before each metrics sample, before its plan memo is dropped and
-when the phase ends, even by an exception. Nothing reads them in
-between: the sanitizer and the tracer, which read counters mid-phase,
-turn the seam off.
+GETM counts) to per-transaction-class tallies, and its traffic totals
+(the network's messages, flit-hops and bytes) to phase-local sums. It
+adds them to the stats and the network before each metrics sample,
+before its plan memo is dropped and when the phase ends, even by an
+exception. Nothing reads them in between: the sanitizer and the tracer,
+which read counters mid-phase, turn the seam off. The utilisation
+window's flit-hops stay live, since the window's roll reads them, and
+the seam recomputes the contention term only when the window rolls.
 
 Allocation: a cache line is an int tag in its set dict
 (:mod:`repro.cache.line`: VM id and dirty bit), and a block's token
@@ -224,21 +228,47 @@ class BatchedEngine(SimulationEngine):
         # What a commit does not repeat:
         # - the plan. Transaction classes (core, vm_id, page_type,
         #   initiator) are memoised per phase with their plan, its
-        #   attempt-0 destinations and the REQUEST multicast's hop
-        #   aggregate, and dropped when the domain table's version moves;
+        #   attempt-0 destinations, the REQUEST multicast's message
+        #   count and flit-hops, and its worst hop count and that
+        #   count's latency before contention, and dropped when the
+        #   domain table's version moves;
+        # - the hop lookups to the memory controller. Per-core lists
+        #   hold a memory read's flit-hops and latency before
+        #   contention, and a victim's WRITEBACK and TOKEN_RETURN
+        #   flit-hops;
+        # - the contention term. It is recomputed only when the
+        #   utilisation window rolls: a phase-local ``window_end`` is
+        #   the cycle at which the window can next roll;
         # - the per-transaction counters (transactions and snoops, by
-        #   initiator and page type, gets/getm counts, bulk_transacts).
-        #   They are tallied per class and added to the stats by
-        #   ``flush``: before the memo is dropped, before every metrics
-        #   sample and when the phase ends, even by an exception. Only
-        #   final values and sampled windows can observe them (the
-        #   sanitizer and tracer, which read them mid-phase, gate the
-        #   seam off), and sums do not depend on the order of addition;
+        #   initiator and page type, gets/getm counts, bulk_transacts)
+        #   and the traffic totals (network messages, flit-hops and
+        #   bytes). They are tallied per class or per phase and added
+        #   to the stats and the network by ``flush``: before the memo
+        #   is dropped, before every metrics sample and when the phase
+        #   ends, even by an exception. Only final values and sampled
+        #   windows can observe them (the sanitizer and tracer, which
+        #   read them mid-phase, gate the seam off), and sums do not
+        #   depend on the order of addition. The window's flit-hops are
+        #   added at each commit, since a roll reads them;
         # - allocations. Lines are int tags and registry records are
         #   packed ints, so a fill builds no line object and a grant is
         #   one dict store; a new block enters the registry at its grant
         #   and a retired one leaves when its value reaches 0, so every
         #   dict insertion (every LRU and registry order) is unchanged.
+        #
+        # Three short paths cover most commits, each with the reference
+        # path's effects and none of its dead arithmetic:
+        # - a block with no registry record (no copy anywhere) skips
+        #   the eligibility tests, which it always passes; a GETM to it
+        #   has no copy to invalidate and no provider table to drop;
+        # - a victim its core alone owns drops its record and sends its
+        #   writeback or token return with no provider scan: a
+        #   cache-owned block has no provider table (the sanitizer
+        #   checks);
+        # - a victim of the filling VM whose residence count is above
+        #   threshold + 1 skips the decrement and the increment, which
+        #   cancel: the decrement cannot fire on_low or delete the
+        #   count's key.
         #
         # Gated off whenever an observer (sanitizer, tracer, outcome
         # observer) is attached: those are wired through the seams the
@@ -276,10 +306,7 @@ class BatchedEngine(SimulationEngine):
             hops_tbl = network._hops
             req_flits = network._flits[MessageKind.REQUEST]
             data_flits = network._flits[MessageKind.DATA]
-            rd_flits = req_flits + data_flits
             ack_flits = network._flits[MessageKind.ACK]
-            wb_flits = network._flits[MessageKind.WRITEBACK]
-            tr_flits = network._flits[MessageKind.TOKEN_RETURN]
             aggregate_hops = network._aggregate_hops
             snoop_lookup = protocol.snoop_lookup_latency
             memory = protocol.memory
@@ -293,42 +320,86 @@ class BatchedEngine(SimulationEngine):
             owner_field = OWNER_FIELD
             prov_tbl = registry._providers
             prov_pop = prov_tbl.pop
-            core_bits = [1 << core for core in range(len(caches))]
+            core_ids = range(len(caches))
+            core_bits = [1 << core for core in core_ids]
             # A sharer's bit in a packed value; the value of a block its
             # sole owner holds clean (the MOESI E grant).
             other_bits = [bit << shift for bit in core_bits]
-            owned_clean = [sole_owner(core) for core in range(len(caches))]
+            owned_clean = [sole_owner(core) for core in core_ids]
+            # Each core's legs to the memory controller (none from the
+            # controller's own node): a memory read's REQUEST + DATA
+            # flit-hops and its latency before contention (hop tables
+            # are symmetric, so one lookup serves both legs), and the
+            # flit-hops of a victim's WRITEBACK or TOKEN_RETURN.
+            mem_hops = [hops_tbl[core][mem_node] for core in core_ids]
+            mem_read_fh = [
+                (req_flits + data_flits) * hops for hops in mem_hops
+            ]
+            mem_read_latency = [
+                hops * per_hop + mem_latency + hops * per_hop
+                for hops in mem_hops
+            ]
+            wb_fh = [
+                network._flits[MessageKind.WRITEBACK] * hops
+                for hops in mem_hops
+            ]
+            tr_fh = [
+                network._flits[MessageKind.TOKEN_RETURN] * hops
+                for hops in mem_hops
+            ]
+            to_memory = [int(core != mem_node) for core in core_ids]
             as_frozenset = frozenset
             l2_ways = any_hierarchy._l2_ways
             # Read once per phase: observers are attached before a run.
             # One loop, not three comprehensions: the comprehension form
             # measured ~8% slower on the whole loop (bench pinned-hits,
             # paired runs), for no reason found in the per-access code.
+            # A res_floors entry is threshold + 1: a victim of the
+            # filling VM whose count exceeds it cannot fire on_low.
             res_counts = []
             res_on_low = []
             res_thresholds = []
+            res_floors = []
             for tracker in trackers:
                 res_counts.append(tracker._counts)
                 res_on_low.append(tracker.on_low)
                 res_thresholds.append(tracker.threshold)
+                res_floors.append(tracker.threshold + 1)
             # (core, vm_id, page_type, initiator) -> [plan, attempt-0
-            # mask, multicast count, total hops, worst hops, snoops per
-            # transaction, GETS tally, GETM tally, intra-domain mask,
-            # friend-domain mask] (the last two for Table VI).
+            # mask, multicast count, REQUEST flit-hops, worst hops, worst
+            # hops' latency before contention, snoops per transaction,
+            # GETS tally, GETM tally, intra-domain mask, friend-domain
+            # mask] (the last two for Table VI).
             memo: Dict[tuple, list] = {}
             memo_version = domains.version
-            # The contention term, recomputed when utilisation moves.
-            last_u = None
-            contention = 0
+            # The contention term of the current utilisation window,
+            # recomputed only when the window rolls. window_end never
+            # runs ahead of the network's own window: only a roll moves
+            # the window, and the access clock never goes back, so a
+            # roll by the reference path (a bail's request multicast)
+            # is seen at the seam's next commit.
+            window_end = network._window_start + window_cycles
+            u = network._last_utilisation
+            contention = int(contention_scale * u / (1.0 - u))
+            # Traffic totals the seam has not yet added to the network's
+            # counters (the window's flit-hops stay live: a roll reads
+            # them).
+            pending_messages = 0
+            pending_flit_hops = 0
 
             def flush():
+                nonlocal pending_messages, pending_flit_hops
+                network.messages += pending_messages
+                network.flit_hops += pending_flit_hops
+                network.bytes_transferred += pending_flit_hops * link_bytes
+                pending_messages = pending_flit_hops = 0
                 transacts = 0
                 for (_, _, page_type, initiator), entry in memo.items():
-                    gets = entry[6]
-                    getms = entry[7]
+                    gets = entry[7]
+                    getms = entry[8]
                     count = gets + getms
                     if count:
-                        snoops = entry[5] * count
+                        snoops = entry[6] * count
                         tx_by_initiator[initiator] += count
                         cstats.transactions += count
                         tx_by_page_type[page_type] += count
@@ -336,7 +407,7 @@ class BatchedEngine(SimulationEngine):
                         cstats.getm_count += getms
                         cstats.snoops += snoops
                         snoops_by_page_type[page_type] += snoops
-                        entry[6] = entry[7] = 0
+                        entry[7] = entry[8] = 0
                         transacts += count
                 self.bulk_transacts += transacts
 
@@ -352,7 +423,8 @@ class BatchedEngine(SimulationEngine):
                 l2_set,
                 cycle,
             ):
-                nonlocal memo_version, last_u, contention
+                nonlocal memo_version, window_end, contention
+                nonlocal pending_messages, pending_flit_hops
                 # ---- eligibility (pure: no counters, no mutation) ----
                 # A store never reaches here on an RO-shared page: guest
                 # stores translate through write_to_page, which turns an
@@ -368,47 +440,56 @@ class BatchedEngine(SimulationEngine):
                 if entry is None:
                     plan = plan_fn(core, vm_id, page_type, block)
                     attempt = plan.attempts[0]
+                    count, total_hops, worst_hops = aggregate_hops(
+                        core, as_frozenset(attempt)
+                    )
                     entry = memo[key] = [
                         plan,
                         mask_of(attempt),
-                        *aggregate_hops(core, as_frozenset(attempt)),
+                        count,
+                        req_flits * total_hops,
+                        worst_hops,
+                        worst_hops * per_hop,
                         len(attempt),
                         0,
                         0,
                         mask_of(plan.stats_intra_domain),
                         mask_of(plan.stats_friend_domain),
                     ]
+                # msgs and fh, this commit's message and flit-hop
+                # tallies, open with the request multicast's.
                 (
-                    plan, dest_mask, mc_count, mc_total_hops, worst_hops,
+                    plan, dest_mask, msgs, fh, worst_hops, worst_latency,
                     _, _, _, intra_mask, friend_mask,
                 ) = entry
-                core_bit = core_bits[core]
-                # The registry value (0: no record) and its owner field,
-                # owner + 1 (0: memory owns).
+                # The registry value (0: no record, so no copy anywhere,
+                # and both tests below pass).
                 value = reg_blocks.get(block, 0)
-                field = value >> 1 & owner_field
-                owner = field - 1
-                if is_write:
-                    # _try_getm's success test: attempt 0 reaches every
-                    # other sharer, a cache owner included (the owner's
-                    # bit is (1 << field) >> 1).
+                if value:
+                    # The owner field is owner + 1 (0: memory owns); the
+                    # owner's bit is (1 << field) >> 1.
+                    field = value >> 1 & owner_field
+                    owner = field - 1
                     sharers = value >> shift | 1 << field >> 1
-                    if sharers & ~(dest_mask | core_bit):
-                        reason = (
-                            "getm-contended"
-                            if l2_set is not None
-                            else "store-upgrade"
-                        )
-                        bail[reason] = bail.get(reason, 0) + 1
+                    if is_write:
+                        # _try_getm's success test: attempt 0 reaches
+                        # every other sharer, a cache owner included.
+                        if sharers & ~(dest_mask | core_bits[core]):
+                            reason = (
+                                "getm-contended"
+                                if l2_set is not None
+                                else "store-upgrade"
+                            )
+                            bail[reason] = bail.get(reason, 0) + 1
+                            return -1
+                    elif (
+                        owner != memory_holder
+                        and not (dest_mask >> owner) & 1
+                        and not ro_read
+                    ):
+                        # (RO-shared reads never fail: memory is clean.)
+                        bail["gets-retry"] = bail.get("gets-retry", 0) + 1
                         return -1
-                elif (
-                    owner != memory_holder
-                    and not (dest_mask >> owner) & 1
-                    and not ro_read
-                ):
-                    # (RO-shared reads never fail: memory is clean.)
-                    bail["gets-retry"] = bail.get("gets-retry", 0) + 1
-                    return -1
                 # ---- commit: the reference path's effects, in its
                 # exact order (_transact -> execute -> _try_* -> fill ->
                 # handle_eviction). One window check covers every
@@ -416,104 +497,80 @@ class BatchedEngine(SimulationEngine):
                 # over at most once per cycle value, so each of the
                 # reference path's network.multicast and network.send
                 # calls (the memory read's REQUEST and DATA sends
-                # included) sees the same contention_delay(). The
-                # traffic counters are flushed in one batch at the end
-                # (nothing reads them mid-transaction: the sanitizer is
-                # gated off and metrics sample between accesses).
-                if cycle - network._window_start >= window_cycles:
+                # included) sees the same contention_delay().
+                if cycle >= window_end:
                     advance_window(cycle)
-                u = network._last_utilisation
-                if u != last_u:
-                    last_u = u
+                    window_end = network._window_start + window_cycles
+                    u = network._last_utilisation
                     contention = int(contention_scale * u / (1.0 - u))
                 if is_write:
-                    entry[7] += 1
+                    entry[8] += 1
                 else:
-                    entry[6] += 1
+                    entry[7] += 1
                     if ro_read:
-                        # Inlined _record_ro_holders (Table VI).
+                        # Inlined _record_ro_holders (Table VI). The
+                        # requester missed, so every copy is another
+                        # core's.
                         cstats.ro_misses += 1
-                        holders = (
-                            value >> shift | 1 << field >> 1
-                        ) & ~core_bit
-                        if not holders:
-                            cstats.ro_holder_memory_only += 1
-                        else:
+                        if value:
                             cstats.ro_holder_any_cache += 1
-                            if holders & intra_mask:
+                            if sharers & intra_mask:
                                 cstats.ro_holder_intra_vm += 1
-                            elif holders & friend_mask:
+                            elif sharers & friend_mask:
                                 cstats.ro_holder_friend_vm += 1
-                # Request multicast (inlined network.multicast).
-                msgs = mc_count
-                fh = req_flits * mc_total_hops if mc_count else 0
-                attempt_latency = (
-                    0 if worst_hops == 0 else worst_hops * per_hop + contention
-                )
-                # ---- data: an upgrade needs none, an RO read takes the
-                # fastest reachable provider copy, everything else comes
-                # from memory or the owner's cache ----
-                completion = None
-                victims = 0
-                if is_write:
-                    # grant_exclusive (it precedes the data leg in
-                    # _try_getm); invalidations follow the data leg.
-                    had_copy = sharers & core_bit
-                    victims = sharers ^ had_copy
-                    reg_blocks[block] = owned_dirty[core]
-                    prov_pop(block, None)
-                    if had_copy:
-                        cstats.upgrades += 1
-                        completion = 0
-                elif ro_read:
-                    # _try_ro_gets: every reachable provider responds
-                    # with its own DATA leg (a friend-VM read reached by
-                    # both the own-VM and the friend-VM provider pays
-                    # for both copies); the fastest one serves.
-                    providers = prov_tbl.get(block)
-                    for provider_vm in (
-                        () if providers is None else plan.provider_vms
-                    ):
-                        provider = providers.get(provider_vm)
-                        if (
-                            provider is not None
-                            and (dest_mask >> provider) & 1
-                            and provider != core
-                        ):
-                            back = hops_tbl[provider][core]
-                            msgs += 1
-                            fh += data_flits * back
-                            leg = (
-                                hops_tbl[core][provider] * per_hop
-                                + contention
-                                + snoop_lookup
-                                + back * per_hop
-                                + contention
-                            )
-                            if completion is None or leg < completion:
-                                completion = leg
-                    if completion is not None:
-                        cstats.cache_to_cache += 1
-                        cstats.ro_served_by_cache += 1
-                if completion is None:
-                    if owner == memory_holder or ro_read:
-                        if core == mem_node:
-                            memory.data_reads += 1
-                            completion = mem_latency
                         else:
-                            # _memory_read_latency's two sends; hop
-                            # tables are symmetric, so one lookup
-                            # serves both legs.
-                            hops = hops_tbl[core][mem_node]
-                            msgs += 2
-                            fh += rd_flits * hops
-                            path = hops * per_hop + contention
-                            memory.data_reads += 1
-                            completion = path + mem_latency + path
-                        cstats.memory_sourced += 1
-                        if ro_read:
-                            cstats.ro_served_by_memory += 1
-                    else:
+                            cstats.ro_holder_memory_only += 1
+                # ---- data: an upgrade needs none, an RO read takes the
+                # fastest reachable provider copy, a cache owner sends
+                # its copy, and memory serves the rest (every block with
+                # no record: it has no provider table either) ----
+                completion = None
+                if value:
+                    if is_write:
+                        # grant_exclusive (it precedes the data leg in
+                        # _try_getm); invalidations follow the data leg.
+                        had_copy = sharers & core_bits[core]
+                        victims = sharers ^ had_copy
+                        reg_blocks[block] = owned_dirty[core]
+                        prov_pop(block, None)
+                        if had_copy:
+                            cstats.upgrades += 1
+                            completion = 0
+                    elif ro_read:
+                        # _try_ro_gets: every reachable provider responds
+                        # with its own DATA leg (a friend-VM read reached
+                        # by both the own-VM and the friend-VM provider
+                        # pays for both copies); the fastest one serves.
+                        providers = prov_tbl.get(block)
+                        for provider_vm in (
+                            () if providers is None else plan.provider_vms
+                        ):
+                            provider = providers.get(provider_vm)
+                            if (
+                                provider is not None
+                                and (dest_mask >> provider) & 1
+                                and provider != core
+                            ):
+                                back = hops_tbl[provider][core]
+                                msgs += 1
+                                fh += data_flits * back
+                                leg = (
+                                    hops_tbl[core][provider] * per_hop
+                                    + contention
+                                    + snoop_lookup
+                                    + back * per_hop
+                                    + contention
+                                )
+                                if completion is None or leg < completion:
+                                    completion = leg
+                        if completion is not None:
+                            cstats.cache_to_cache += 1
+                            cstats.ro_served_by_cache += 1
+                    if (
+                        completion is None
+                        and owner != memory_holder
+                        and not ro_read
+                    ):
                         # Cache-to-cache: the owner is inside attempt 0
                         # (request leg + snoop lookup + DATA leg back).
                         # It is another core: a store by the owner holds
@@ -530,18 +587,45 @@ class BatchedEngine(SimulationEngine):
                             + contention
                         )
                         cstats.cache_to_cache += 1
+                elif is_write:
+                    # grant_exclusive: no copy to invalidate, no provider
+                    # table to drop.
+                    reg_blocks[block] = owned_dirty[core]
+                if completion is None:
+                    # _memory_read_latency's two sends.
+                    memory.data_reads += 1
+                    if core == mem_node:
+                        completion = mem_latency
+                    else:
+                        msgs += 2
+                        fh += mem_read_fh[core]
+                        completion = (
+                            mem_read_latency[core] + contention + contention
+                        )
+                    cstats.memory_sourced += 1
+                    if ro_read:
+                        cstats.ro_served_by_memory += 1
                 # ---- registry grant (reads) / invalidations (GETM) ----
                 if ro_read:
                     # grant_shared(vm_id=...): both setdefaults, in order.
                     # A missing core holds no copy, so it is not the owner
                     # and its bit is a plain sharer bit.
                     reg_blocks[block] = value | other_bits[core]
-                    if providers is None:
+                    if not value or providers is None:
                         prov_tbl[block] = {vm_id: core, global_provider: core}
                     else:
                         providers.setdefault(vm_id, core)
                         providers.setdefault(global_provider, core)
-                elif is_write:
+                elif not is_write:
+                    # grant_shared to a cache owner or other sharers;
+                    # with no copy anywhere, the MOESI E state
+                    # (grant_exclusive, dirty=False).
+                    reg_blocks[block] = (
+                        value | other_bits[core]
+                        if value
+                        else owned_clean[core]
+                    )
+                elif value:
                     # Sorted invalidations (see _try_getm), i.e. in
                     # ascending bit order: each fires the victim core's
                     # residence on_low, then its ACK.
@@ -565,24 +649,26 @@ class BatchedEngine(SimulationEngine):
                         )
                         if leg > completion:
                             completion = leg
-                elif value:
-                    # A cache owner or other sharers: grant_shared.
-                    reg_blocks[block] = value | other_bits[core]
-                else:
-                    # No copy anywhere: the MOESI E state (grant_exclusive,
-                    # dirty=False). A block with no copy has no provider
-                    # table (each names a copy; the sanitizer checks).
-                    reg_blocks[block] = owned_clean[core]
                 # ---- fill (a store upgrade's line is resident: no
                 # fill; dirty == is_write here: fill_dirty is True
                 # exactly for GETM, where is_write is True already) ----
-                victim = None
                 if l2_set is not None:
+                    fill_vm = vm_tag
                     if len(l2_set) >= l2_ways:
                         victim_block = next(iter(l2_set))
                         victim = l2_set.pop(victim_block)
                         victim_vm = victim >> 1
-                        if victim_vm != untracked:
+                        if (
+                            victim_vm == fill_vm
+                            and res_counts[core].get(victim_vm, 0)
+                            > res_floors[core]
+                        ):
+                            # The filling VM's own line, far above the
+                            # watermark: on_evict's decrement and
+                            # on_insert's increment cancel, on_low cannot
+                            # fire and no counter key goes.
+                            fill_vm = untracked
+                        elif victim_vm != untracked:
                             # Inlined ResidenceTracker.on_evict.
                             counts = res_counts[core]
                             current = counts.get(victim_vm, 0) - 1
@@ -601,62 +687,69 @@ class BatchedEngine(SimulationEngine):
                         l1_sets_by_core[core][victim_block & l1_mask].pop(
                             victim_block, None
                         )
+                    else:
+                        victim = None
                     # The line's tag (repro.cache.line): VM id, dirty bit.
                     tag = vm_tag << 1 | is_write
                     l2_set[block] = tag
-                    if vm_tag != untracked:
+                    if fill_vm != untracked:
                         counts = res_counts[core]
-                        counts[vm_tag] = counts.get(vm_tag, 0) + 1
+                        counts[fill_vm] = counts.get(fill_vm, 0) + 1
                     if len(l1_set) >= l1_ways:
                         del l1_set[next(iter(l1_set))]
                     l1_set[block] = tag
-                if victim is not None:
-                    # Inlined registry.evicted + handle_eviction: tokens
-                    # (and dirty data) travel back to memory. The send's
-                    # latency is discarded by the reference too, so only
-                    # its traffic is charged.
-                    vvalue = reg_blocks.get(victim_block, 0)
-                    owned = vvalue >> 1 & owner_field == core + 1
-                    if owned or vvalue & other_bits[core]:
-                        if owned:
-                            # The owner token goes home, with the data
-                            # when either copy is dirty.
+                    if victim is not None:
+                        # Inlined registry.evicted + handle_eviction:
+                        # tokens (and dirty data) travel back to memory.
+                        # The send's latency is discarded by the
+                        # reference too, so only its traffic is charged.
+                        # The victim is resident, so this core holds it
+                        # in the registry (the sanitizer's sharer-set
+                        # check) as owner or as a plain sharer.
+                        vvalue = reg_blocks[victim_block]
+                        if vvalue | 1 == owned_dirty[core]:
+                            # Its sole owner: every token goes home.
+                            del reg_blocks[victim_block]
                             writeback = vvalue & 1 or victim & 1
-                            vvalue = vvalue >> shift << shift
+                        elif vvalue >> 1 & owner_field == core + 1:
+                            # The owner token goes home, with the data
+                            # when either copy is dirty; the other
+                            # sharers keep theirs. A cache-owned block
+                            # has no provider table (the sanitizer
+                            # checks).
+                            reg_blocks[victim_block] = vvalue >> shift << shift
+                            writeback = vvalue & 1 or victim & 1
                         else:
                             writeback = False
                             vvalue ^= other_bits[core]
-                        vproviders = prov_tbl.get(victim_block)
-                        if vproviders is not None:
-                            for pvm, prov in list(vproviders.items()):
-                                if prov == core:
-                                    del vproviders[pvm]
-                            if not vproviders:
-                                del prov_tbl[victim_block]
+                            vproviders = prov_tbl.get(victim_block)
+                            if vproviders is not None:
+                                for pvm, prov in list(vproviders.items()):
+                                    if prov == core:
+                                        del vproviders[pvm]
+                                if not vproviders:
+                                    del prov_tbl[victim_block]
+                            if vvalue:
+                                reg_blocks[victim_block] = vvalue
+                            else:
+                                # All tokens back at memory.
+                                del reg_blocks[victim_block]
                         if writeback:
                             memory.writebacks += 1
-                            flits = wb_flits
+                            fh += wb_fh[core]
                         else:
                             memory.token_returns += 1
-                            flits = tr_flits
-                        if core != mem_node:
-                            msgs += 1
-                            fh += flits * hops_tbl[core][mem_node]
-                        if vvalue:
-                            reg_blocks[victim_block] = vvalue
-                        else:
-                            # All tokens back at memory.
-                            del reg_blocks[victim_block]
-                if msgs:
-                    network.messages += msgs
-                    network.flit_hops += fh
-                    network.bytes_transferred += fh * link_bytes
-                    network._window_flit_hops += fh
-                return (
-                    attempt_latency
-                    if attempt_latency >= completion
-                    else completion
-                )
+                            fh += tr_fh[core]
+                        msgs += to_memory[core]
+                pending_messages += msgs
+                pending_flit_hops += fh
+                network._window_flit_hops += fh
+                if worst_hops:
+                    # The request multicast's latency.
+                    worst_latency += contention
+                    if worst_latency >= completion:
+                        return worst_latency
+                return completion
 
         clock = self.clock
         local_time = clock.now

@@ -118,22 +118,6 @@ class TestFlush:
         reg = TokenRegistry()
         assert reg.flush_block_to_memory(0x99) is False
 
-    def test_invalidated_removes_sharer(self):
-        reg = TokenRegistry()
-        reg.grant_shared(1, 0x10)
-        reg.invalidated(1, 0x10)
-        assert reg.sharers_of(0x10) == set()
-
-    def test_invalidated_owner_takes_the_owner_token(self):
-        reg = TokenRegistry()
-        reg.grant_shared(1, 0x10)
-        reg.grant_exclusive(2, 0x10, dirty=False)
-        reg.grant_shared(3, 0x10)
-        reg.invalidated(2, 0x10)
-        assert reg.owner_of(0x10) == MEMORY
-        assert reg.sharers_of(0x10) == {3}
-        assert not reg.state_of(0x10).dirty
-
 
 class TestEncoding:
     def test_sole_owner_values_are_small_ints(self):
@@ -256,24 +240,9 @@ class SetModel:
             del self.records[block]
         return outcome
 
-    def invalidated(self, core, block):
-        record = self.records.get(block)
-        if record is None:
-            return
-        record[0].discard(core)
-        if record[1] == core:
-            # The owner token leaves with the owner's copy.
-            record[1] = MEMORY
-            record[2] = False
-        if not record[0] and record[1] == MEMORY and not record[3]:
-            del self.records[block]
-
     def drop_block(self, block):
         record = self.records.pop(block, None)
         return set(record[0]) if record is not None else set()
-
-    def assign_provider(self, block, vm_id, core):
-        self._record(block)[3][vm_id] = core
 
 
 BLOCKS = range(2)
@@ -291,9 +260,7 @@ def registry_ops(cores):
             ),
             st.tuples(st.just("grant_exclusive"), cores, blocks, st.booleans()),
             st.tuples(st.just("evicted"), cores, blocks, st.booleans()),
-            st.tuples(st.just("invalidated"), cores, blocks),
             st.tuples(st.just("drop_block"), blocks),
-            st.tuples(st.just("assign_provider"), blocks, vm_ids, cores),
         ),
         min_size=10,
         max_size=60,

@@ -10,7 +10,7 @@ that never fires proves nothing.
 import pytest
 
 from repro.cli import main
-from repro.coherence.registry import decode, encode
+from repro.coherence.registry import MEMORY, decode, encode
 from repro.core.filter import SnoopPolicy
 from repro.sanitizer import MAX_KEPT_VIOLATIONS, SanitizerCheck, SanitizerViolation
 from repro.sim import SimConfig, build_system, run_simulation
@@ -151,12 +151,29 @@ def test_stray_provider_designation_raises_state_violation():
     system = run_small()
     block = next(iter(system.registry._blocks))
     ghost = max(system.caches) + 7  # a core that holds nothing
-    system.registry.assign_provider(block, system.vms[0].vm_id, ghost)
+    system.registry._providers[block] = {system.vms[0].vm_id: ghost}
     with pytest.raises(SanitizerViolation) as exc:
         system.sanitizer.audit()
     assert exc.value.check is SanitizerCheck.STATE
     assert exc.value.block == block
     assert exc.value.details == {"providers": [ghost]}
+
+
+def test_provider_table_on_cache_owned_block_raises_state_violation():
+    system = run_small()
+    registry = system.registry
+    block, state = next(
+        (block, state)
+        for block, state in registry.records()
+        if state.owner != MEMORY
+    )
+    # The owner holds a copy, so only the ownership check can object.
+    registry._providers[block] = {system.vms[0].vm_id: state.owner}
+    with pytest.raises(SanitizerViolation) as exc:
+        system.sanitizer.audit()
+    assert exc.value.check is SanitizerCheck.STATE
+    assert exc.value.block == block
+    assert exc.value.details == {"owner": state.owner}
 
 
 def test_shadow_corruption_raises_shadow_violation():

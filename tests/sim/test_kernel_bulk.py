@@ -6,16 +6,18 @@ succeeds. Everything here pins its hard edges: migration windows and
 metrics samples landing in the middle of a bulk run, dirty, cross-VM
 and untracked victims retired inline, RW-shared hypervisor/dom0
 misses, RO-shared content reads under every content policy, contended
-GETMs whose invalidations fire residence-counter removals, L1- and
-L2-hit store upgrades, copy-on-write of a page whose read memoised it
-RO-shared, mid-phase deadlines for calibrated and suite
-workloads alike, sanitized runs and any L2 observer other than a bare
+GETMs whose invalidations fire residence-counter removals, same-VM
+victims on both sides of the watermark's edge, a bail's request
+multicast rolling the network window between two inline commits, L1-
+and L2-hit store upgrades, copy-on-write of a page whose read memoised
+it RO-shared, mid-phase deadlines for calibrated and suite workloads
+alike, sanitized runs and any L2 observer other than a bare
 residence tracker disabling the seam entirely, cache lines and
 registry records the seam reuses ending up in exactly one place, and
 the bail-out histogram that records why transactions stayed on the
 reference path. All differential assertions are byte-equality of
-``SimStats.to_dict()`` and the ``system.snapshot([])`` end state (plus,
-where named, ``on_low`` sequences) — the seam's contract is exactness,
+``SimStats.to_dict()``, the ``system.snapshot([])`` end state and the
+network's traffic totals (plus, where named, ``on_low`` sequences) — the seam's contract is exactness,
 not approximation.
 """
 
@@ -38,6 +40,7 @@ from tests.sim.differential import (
     assert_identical,
     assert_same_end_state,
     run_system,
+    same_vm_victim_counts,
 )
 
 # Small caches + a read-heavy zipfian suite: most accesses miss and most
@@ -111,6 +114,56 @@ class TestBulkDifferential:
                 counter_threshold=3,
             )
         )
+
+    def test_reference_path_rolls_the_window_between_seam_commits(self):
+        # The seam recomputes the contention term only when the network
+        # window rolls. A retry ladder's bail goes through _transact,
+        # whose request multicast may roll the window itself; the
+        # seam's next commit must see that roll (its own call to
+        # advance the window then finds nothing to do) and charge the
+        # new window's contention.
+        config = SimConfig(
+            num_cores=4,
+            mesh_width=2,
+            mesh_height=2,
+            num_vms=2,
+            vcpus_per_vm=2,
+            suite="web-farm",
+            l1_size=1024,
+            l1_ways=2,
+            l2_size=4096,
+            l2_ways=4,
+            accesses_per_vcpu=3000,
+            warmup_accesses_per_vcpu=200,
+            snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+            counter_threshold=1024,
+            migration_period_ms=0.05,
+        )
+        system = build_system(
+            replace(config, kernel="batched"), PROFILES["fft"]
+        )
+        network = system.network
+        advance = network._advance_window
+        # Per call, in order: (caller, rolled, contention term moved).
+        calls = []
+
+        def recorded(cycle):
+            start = network._window_start
+            contention = network.contention_delay()
+            advance(cycle)
+            calls.append((
+                sys._getframe(1).f_code.co_name,
+                network._window_start != start,
+                network.contention_delay() != contention,
+            ))
+
+        network._advance_window = recorded
+        engine_for(system).run()
+        reference, _ = run_system(replace(config, kernel="reference"))
+        assert_same_end_state(system, reference)
+        moved = calls.index(("multicast", True, True))
+        assert ("bulk", True, True) in calls[:moved]
+        assert ("bulk", False, False) in calls[moved:]
 
     def test_multi_vcpu_deadlines_mid_phase(self):
         # Multi-vCPU VMs step per access while migration and metrics
@@ -292,6 +345,43 @@ class TestInlineHardCases:
         assert any(
             seam is not None and seam[0] == "evict" and victim_vm != seam[2]
             for _, victim_vm, _, seam in low_events
+        )
+
+    def test_same_vm_victims_at_the_watermark_edge(self):
+        # Direct-mapped, 16-line L2s under fast swaps keep a VM's count
+        # on a core near the watermark, so the filling VM's own victims
+        # land at count threshold + 1 (the decrement fires on_low) and
+        # threshold + 2 (the seam skips the decrement and the increment).
+        config = SimConfig(
+            num_cores=4,
+            mesh_width=2,
+            mesh_height=2,
+            num_vms=2,
+            vcpus_per_vm=2,
+            accesses_per_vcpu=600,
+            warmup_accesses_per_vcpu=200,
+            l1_size=256,
+            l1_ways=1,
+            l2_size=1024,
+            l2_ways=1,
+            snoop_policy=SnoopPolicy.VSNOOP_COUNTER_THRESHOLD,
+            counter_threshold=3,
+            migration_period_ms=0.05,
+        )
+        system, engine, low_events, _ = assert_identical_residence(config)[
+            "batched"
+        ]
+        # The trackers' watermark: counter_threshold - 1.
+        threshold = system.snoop_filter.trackers[0].threshold
+        counts = same_vm_victim_counts(config)
+        assert counts[threshold + 1] > 0 and counts[threshold + 2] > 0
+        assert engine.bulk_transacts > 0
+        assert any(
+            seam is not None
+            and seam[0] == "evict"
+            and victim_vm == seam[2]
+            and count == threshold
+            for _, victim_vm, count, seam in low_events
         )
 
     @pytest.mark.parametrize("policy", list(ContentPolicy), ids=lambda p: p.value)
