@@ -112,15 +112,12 @@ class RegionTracker(CacheObserver):
         self._region_counts: Dict[int, int] = {}
         self._crh = [0] * crh_buckets
 
-    def _region_of(self, block: int) -> int:
-        return block >> self.region_bits
-
     def _bucket(self, region: int) -> int:
         # Multiplicative hashing spreads sequential regions across buckets.
         return (region * _HASH_MULTIPLIER) % self.crh_buckets
 
     def on_insert(self, block: int, vm_id: int) -> None:
-        # Inlined _region_of/_bucket and the bucket memo: this observer
+        # The region shift, _bucket and the bucket memo are inlined: this observer
         # fires on every L2 insert, and the helper-call overhead is
         # measurable there.
         region = block >> self.region_bits

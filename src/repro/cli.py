@@ -70,9 +70,8 @@ EXPERIMENTS = {
 }
 
 # Studies that never reach the campaign runner (run_matrix): fig2 is
-# analytic, and the scheduler studies map their cells through
-# parallel_map. --out/--resume would silently write nothing for them.
-_UNCHECKPOINTED = frozenset({"fig2", "fig3", "tab1", "clustered"})
+# analytic. --out/--resume would silently write nothing for them.
+_UNCHECKPOINTED = frozenset({"fig2"})
 
 _POLICY_NAMES = {policy.value: policy for policy in SnoopPolicy}
 _CONTENT_NAMES = {policy.value: policy for policy in ContentPolicy}

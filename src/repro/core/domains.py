@@ -102,9 +102,6 @@ class SnoopDomainTable:
     def is_running_on(self, vm_id: int, core: int) -> bool:
         return self._running.get(vm_id, {}).get(core, 0) > 0
 
-    def running_cores(self, vm_id: int) -> FrozenSet[int]:
-        return frozenset(self._running.get(vm_id, {}))
-
     # ------------------------------------------------------------------
     # Placement-driven updates.
     # ------------------------------------------------------------------

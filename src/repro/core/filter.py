@@ -219,11 +219,3 @@ class VirtualSnoopFilter(PlacementListener):
         # dropped immediately (e.g. the VM never cached anything here).
         if self.policy.uses_counters and self.trackers[core].below_threshold(vm_id):
             self.domains.try_remove(vm_id, core, cycle)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def average_domain_size(self, vm_ids) -> float:
-        sizes = [self.domains.domain_size(vm) for vm in vm_ids]
-        return sum(sizes) / len(sizes) if sizes else 0.0

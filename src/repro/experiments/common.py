@@ -4,12 +4,16 @@ Every driver returns plain dicts/lists so tests and the benchmark
 harness can assert on them, and exposes a ``main()`` that prints the
 same rows/series the paper's figure or table reports.
 
-Drivers fan their simulation matrices out through
-:mod:`repro.sim.runner`: build the full (config, app) task list, run it
-with :func:`~repro.sim.runner.run_matrix` under a label naming the
-figure, and zip the (input-ordered) results back. The job count comes
-from ``repro-sim --jobs`` / ``REPRO_JOBS``; results are bit-identical
-at any job count.
+Every simulated driver fans its matrix out through
+:mod:`repro.sim.runner`: build the full task list, run it with
+:func:`~repro.sim.runner.run_matrix` under a label naming the figure,
+and zip the (input-ordered) results back. Most tasks are (config, app)
+``SimTask`` cells; the scheduler studies (``fig3``, ``tab1``,
+``clustered``) pass ``SchedTask`` cells with
+``task_fn=sched_study.run_task``. Either way ``repro-sim experiment
+--out`` checkpoints and resumes them. The job count comes from
+``repro-sim --jobs`` / ``REPRO_JOBS``; results are bit-identical at any
+job count.
 
 Set ``REPRO_FAST=1`` to shrink run lengths (quarter-size traces, subset
 of applications) for quick smoke runs of the benchmark suite.

@@ -19,19 +19,12 @@ from typing import Dict, List, Optional
 
 from repro.analysis.tables import render_table
 from repro.experiments.common import select_apps
-from repro.experiments.sched_study import OVERCOMMITTED_VMS
-from repro.hypervisor.scheduler import CreditSchedulerSim, SchedulerConfig
-from repro.sim import parallel_map
-from repro.workloads import PARSEC_APPS, get_profile
+from repro.experiments.sched_study import OVERCOMMITTED_VMS, SchedTask, run_task
+from repro.hypervisor.scheduler import SchedulerConfig
+from repro.sim import run_matrix
+from repro.workloads import PARSEC_APPS
 
 POLICIES = ("pinned", "clustered", "credit")
-
-
-def _run_cell(args):
-    """Picklable worker: one (app, policy, cluster_factor, num_vms, seed) cell."""
-    app, policy, cluster_factor, num_vms, seed = args
-    config = SchedulerConfig(policy=policy, cluster_factor=cluster_factor, seed=seed)
-    return CreditSchedulerSim(config, get_profile(app), num_vms=num_vms).run()
 
 
 def run(
@@ -42,31 +35,29 @@ def run(
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """app -> policy -> {wall_ms, migrations, domain_bound_cores}."""
     apps = select_apps(PARSEC_APPS if apps is None else apps)
-    cells = [
-        (app, policy, cluster_factor, num_vms, seed)
+    tasks = [
+        SchedTask(
+            SchedulerConfig(policy=policy, cluster_factor=cluster_factor, seed=seed),
+            app,
+            num_vms,
+        )
         for app in apps
         for policy in POLICIES
     ]
-    outcomes = iter(parallel_map(_run_cell, cells))
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for app in apps:
-        results[app] = {}
-        for policy in POLICIES:
-            config = SchedulerConfig(
-                policy=policy, cluster_factor=cluster_factor, seed=seed
-            )
-            outcome = next(outcomes)
-            if policy == "pinned":
-                bound = 4  # one core per vCPU
-            elif policy == "clustered":
-                bound = min(config.num_cores, round(4 * cluster_factor))
-            else:
-                bound = config.num_cores
-            results[app][policy] = {
-                "wall_ms": outcome.wall_ms,
-                "migrations": float(outcome.guest_migrations),
-                "domain_bound_cores": float(bound),
-            }
+    for task, outcome in zip(tasks, run_matrix(tasks, label="clustered", task_fn=run_task)):
+        config = task.config
+        if config.policy == "pinned":
+            bound = 4  # one core per vCPU
+        elif config.policy == "clustered":
+            bound = min(config.num_cores, round(4 * cluster_factor))
+        else:
+            bound = config.num_cores
+        results.setdefault(task.app, {})[config.policy] = {
+            "wall_ms": outcome.wall_ms,
+            "migrations": float(outcome.guest_migrations),
+            "domain_bound_cores": float(bound),
+        }
     return results
 
 

@@ -16,35 +16,54 @@ swaptions, freqmine).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.analysis.tables import render_table
 from repro.experiments.common import fast_mode, select_apps
-from repro.hypervisor.scheduler import CreditSchedulerSim, SchedulerConfig
-from repro.sim import parallel_map
+from repro.hypervisor.scheduler import (
+    CreditSchedulerSim,
+    SchedulerConfig,
+    SchedulerResult,
+)
+from repro.sim import run_matrix
 from repro.workloads import PARSEC_APPS, get_profile
 
 UNDERCOMMITTED_VMS = 2
 OVERCOMMITTED_VMS = 4
 
 
-def run_one(app: str, num_vms: int, policy: str, seed: int = 7):
-    profile = get_profile(app)
-    if fast_mode():
-        profile = _shorter(profile)
-    config = SchedulerConfig(policy=policy, seed=seed)
-    return CreditSchedulerSim(config, profile, num_vms=num_vms).run()
+class SchedTask(NamedTuple):
+    """One scheduler cell: ``app`` in ``num_vms`` VMs under ``config``.
+
+    A campaign-runner task like :class:`~repro.sim.runner.SimTask`: its
+    fields are its identity, so the runner keys, stores and resumes it.
+    ``work_scale`` multiplies the profile's work per vCPU.
+    """
+
+    config: SchedulerConfig
+    app: str
+    num_vms: int
+    work_scale: float = 1.0
+
+    result_type = SchedulerResult
+
+    def describe(self) -> dict:
+        """The cell's manifest columns."""
+        return {
+            "app": self.app,
+            "policy": self.config.policy,
+            "num_vms": self.num_vms,
+            "work_scale": self.work_scale,
+            "seed": self.config.seed,
+        }
 
 
-def _run_cell(args):
-    """Picklable single-argument adapter for the parallel fan-out."""
-    return run_one(*args)
-
-
-def _shorter(profile):
-    from dataclasses import replace
-
-    return replace(profile, work_ms_per_vcpu=profile.work_ms_per_vcpu / 4)
+def run_task(task: SchedTask) -> SchedulerResult:
+    """Simulate one scheduler cell (module-level, so workers can run it)."""
+    profile = get_profile(task.app)
+    profile = replace(profile, work_ms_per_vcpu=profile.work_ms_per_vcpu * task.work_scale)
+    return CreditSchedulerSim(task.config, profile, num_vms=task.num_vms).run()
 
 
 def run(apps: Optional[List[str]] = None, seed: int = 7) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -56,13 +75,14 @@ def run(apps: Optional[List[str]] = None, seed: int = 7) -> Dict[str, Dict[str, 
     """
     apps = select_apps(PARSEC_APPS if apps is None else apps)
     commitments = (("under", UNDERCOMMITTED_VMS), ("over", OVERCOMMITTED_VMS))
-    cells = [
-        (app, num_vms, policy, seed)
+    work_scale = 0.25 if fast_mode() else 1.0
+    tasks = [
+        SchedTask(SchedulerConfig(policy=policy, seed=seed), app, num_vms, work_scale)
         for app in apps
         for _, num_vms in commitments
         for policy in ("pinned", "credit")
     ]
-    outcomes = iter(parallel_map(_run_cell, cells))
+    outcomes = iter(run_matrix(tasks, label="fig3_tab1", task_fn=run_task))
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for app in apps:
         results[app] = {}

@@ -70,9 +70,6 @@ class MemoryManager:
             raise ValueError(f"address space for VM {vm_id} already exists")
         self._tables[vm_id] = {}
 
-    def has_address_space(self, vm_id: int) -> bool:
-        return vm_id in self._tables
-
     # ------------------------------------------------------------------
     # Mapping and translation.
     # ------------------------------------------------------------------

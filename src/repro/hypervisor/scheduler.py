@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.workloads.profiles import AppProfile
@@ -106,6 +106,17 @@ class SchedulerResult:
     guest_migrations: int
     guest_vcpus: int
     dom0_wakes: int
+
+    def to_dict(self) -> dict:
+        """Every field as JSON-serializable data (a campaign cell's artifact)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SchedulerResult":
+        """Inverse of :meth:`to_dict`; JSON stringifies the int VM ids."""
+        kwargs = dict(data)
+        kwargs["vm_finish_ms"] = {int(vm): ms for vm, ms in data["vm_finish_ms"].items()}
+        return cls(**kwargs)
 
     @property
     def relocation_period_ms(self) -> float:

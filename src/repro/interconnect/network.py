@@ -72,9 +72,6 @@ class NetworkModel:
         self._mc_cache: dict = {}
         self._mc_cache_max = 4096
 
-    def _per_hop_latency(self) -> int:
-        return self._per_hop
-
     def hops(self, src: int, dst: int) -> int:
         """XY hop count between two nodes (table lookup)."""
         return self._hops[src][dst]
@@ -120,13 +117,6 @@ class NetworkModel:
             if hops > worst_hops:
                 worst_hops = hops
         return count, total_hops, worst_hops
-
-    def _record(self, hops: int, kind: MessageKind) -> None:
-        flits = self._flits[kind]
-        self.messages += 1
-        self.flit_hops += flits * hops
-        self.bytes_transferred += flits * self.sizing.link_bytes * hops
-        self._window_flit_hops += flits * hops
 
     def send(self, src: int, dst: int, kind: MessageKind, cycle: int = 0) -> int:
         """Record a unicast message; return its delivery latency in cycles.

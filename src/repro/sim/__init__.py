@@ -1,7 +1,7 @@
 """Simulation layer: configuration, system builder, engine, statistics.
 
 The campaign executor's names (:mod:`repro.sim.runner`: ``run_matrix``,
-``SimTask``, ``parallel_map`` and the rest) are resolved lazily, on
+``SimTask``, ``run_matrix_detailed`` and the rest) are resolved lazily, on
 first access, by the module ``__getattr__`` below. The runner brings in
 ``multiprocessing``, ``socket``, ``pickle``, ``subprocess`` and the
 result store; a process that builds and runs a single cell needs none
@@ -48,12 +48,10 @@ __all__ = [
     "SimulationEngine",
     "TaskError",
     "TaskResult",
-    "WorkerError",
     "build_system",
     "campaign_settings",
     "compute_friends",
     "default_jobs",
-    "parallel_map",
     "run_matrix",
     "run_matrix_detailed",
     "run_simulation",

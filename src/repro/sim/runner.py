@@ -24,28 +24,33 @@ processes, and there is no separate code path to drift.
 One executor and campaigns
 --------------------------
 
-:func:`parallel_map` and :func:`run_matrix_detailed` (underneath
-:func:`run_matrix`) share one executor: one worker process per item, at
-most ``jobs`` alive, exceptions captured per item, a dead worker
-detected through pipe EOF and exit code, and Ctrl-C terminating the
-workers still running. :func:`run_matrix_detailed` adds per-cell
-retries, a wall-clock timeout and :class:`CampaignInterrupted`. A
-simulated cell returns a :class:`CellReport` with its statistics, so no
-per-cell fact goes through a module global.
+Every campaign, the simulated matrices and the scheduler studies
+alike, fans out through :func:`run_matrix_detailed` (underneath
+:func:`run_matrix`) and its one executor: one worker process per cell,
+at most ``jobs`` alive, exceptions captured per cell as text, a dead
+worker detected through pipe EOF and exit code, per-cell retries, a
+wall-clock timeout, and Ctrl-C terminating the workers still running
+(:class:`CampaignInterrupted`). A simulated cell returns a
+:class:`CellReport` with its statistics, so no per-cell fact goes
+through a module global.
 
-With ``checkpoint_dir`` set, the directory is opened as a
-:class:`~repro.store.ResultStore` (the *campaign store*): every
-completed cell becomes an ordinary result entry at
-``DIR/results/<key>.json``, keyed by a stable hash of its (config, app)
-pair, so re-running the same matrix skips the already-done cells. The
-entries carry the same ``STATE_VERSION``, key and identity checks as
-the global store, and because the JSON round trip through
-:meth:`SimStats.to_dict` is lossless, a resumed matrix is bit-identical
-to an uninterrupted serial run. A ``manifest-*.json`` per matrix records
+A task is a ``NamedTuple`` whose fields are its identity: a
+:class:`SimTask`, or any task of the same shape (a ``result_type``
+with ``to_dict``/``from_dict`` and a ``describe()`` of its manifest
+columns, like :class:`repro.experiments.sched_study.SchedTask`) run by
+a custom ``task_fn``. With ``checkpoint_dir`` set, the directory is
+opened as a :class:`~repro.store.ResultStore` (the *campaign store*):
+every completed cell becomes an ordinary result entry at
+``DIR/results/<key>.json``, keyed by a stable hash of the task's
+fields, so re-running the same matrix skips the already-done cells.
+The entries carry the same ``STATE_VERSION``, key and identity checks
+as the global store, and because the JSON round trip through the
+result's ``to_dict`` is lossless, a resumed matrix is bit-identical to
+an uninterrupted serial run. A ``manifest-*.json`` per matrix records
 what ran: tasks, seeds, job count, git revision, per-cell wall-clock,
-warm/measure split and µs/access, failures, and the store traffic of
-this matrix's cells. The campaign directory defaults to the
-``REPRO_CAMPAIGN_DIR`` environment variable, or to the
+failures and the store traffic of this matrix's cells; a simulated
+cell adds its warm/measure split and µs/access. The campaign directory
+defaults to the ``REPRO_CAMPAIGN_DIR`` environment variable, or to the
 :func:`set_campaign` settings installed by ``repro-sim experiment
 --out/--resume/--retries/--task-timeout``.
 """
@@ -57,7 +62,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -67,16 +71,7 @@ from enum import Enum
 from functools import partial, reduce
 from multiprocessing import connection
 from pathlib import Path
-from typing import (
-    Callable,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.config import SimConfig
 from repro.sim.stats import SimStats
@@ -84,9 +79,6 @@ from repro.sim.system import SnapshotMismatch, build_system
 from repro.sim.kernel import engine_for
 from repro.store import ResultStore, get_store, snapshots_enabled
 from repro.workloads import get_profile
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 JOBS_ENV_VAR = "REPRO_JOBS"
 CAMPAIGN_ENV_VAR = "REPRO_CAMPAIGN_DIR"
@@ -100,6 +92,23 @@ class SimTask(NamedTuple):
 
     config: SimConfig
     app: str
+
+    result_type = SimStats
+
+    def describe(self) -> dict:
+        """The cell's manifest columns."""
+        config = self.config
+        return {
+            "app": self.app,
+            "policy": config.snoop_policy.value,
+            "content_policy": config.content_policy.value,
+            "filter": config.filter_kind,
+            "topology": config.topology,
+            "num_cores": config.num_cores,
+            "num_vms": config.num_vms,
+            "migration_period_ms": config.migration_period_ms,
+            "seed": config.seed,
+        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,29 +337,16 @@ def campaign_settings() -> CampaignSettings:
 # ----------------------------------------------------------------------
 
 
-class WorkerError(RuntimeError):
-    """A :func:`parallel_map` item failed; identifies which one.
-
-    ``index`` is the position in the input iterable, ``item`` the input
-    itself; the original exception is chained as ``__cause__`` when it
-    survived pickling back from the worker.
-    """
-
-    def __init__(self, index: int, item: object, message: str) -> None:
-        super().__init__(message)
-        self.index = index
-        self.item = item
-
-
 class TaskError(RuntimeError):
     """A :func:`run_matrix` cell failed; carries the failing TaskResult."""
 
     def __init__(self, result: "TaskResult") -> None:
         task = result.task
+        columns = task.describe()
         super().__init__(
             f"simulation task {result.index} (app={task.app!r}, "
-            f"policy={task.config.snoop_policy.value}, "
-            f"seed={task.config.seed}) failed after "
+            f"policy={columns['policy']}, "
+            f"seed={columns['seed']}) failed after "
             f"{result.attempts} attempt(s):\n{result.error}"
         )
         self.result = result
@@ -376,8 +372,8 @@ class TaskResult(NamedTuple):
     """Outcome of one matrix cell, successful or not."""
 
     index: int
-    task: SimTask
-    stats: Optional[SimStats]
+    task: Any  # a SimTask, or another task run by a custom task_fn
+    stats: Any  # the task's result_type instance; None on failure
     error: Optional[str]  # traceback / reason text; None on success
     attempts: int
     wall_seconds: float
@@ -399,8 +395,8 @@ class TaskResult(NamedTuple):
 # ----------------------------------------------------------------------
 
 
-def config_to_dict(config: SimConfig) -> dict:
-    """A JSON-serializable dict of every config field (enums by value)."""
+def config_to_dict(config: Any) -> dict:
+    """A JSON-serializable dict of every config dataclass field (enums by value)."""
     out = {}
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
@@ -408,15 +404,34 @@ def config_to_dict(config: SimConfig) -> dict:
     return out
 
 
-def task_key(task: SimTask) -> str:
-    """Stable content hash of one (config, app) cell.
+def _identity(task) -> dict:
+    """Every field of a task as JSON data, config dataclasses as dicts."""
+    return {
+        name: config_to_dict(value) if dataclasses.is_dataclass(value) else value
+        for name, value in task._asdict().items()
+    }
+
+
+def _entry_config(task) -> dict:
+    """What a store entry embeds beside its app for the collision check.
+
+    A :class:`SimTask`'s config dict (the shape of every stored
+    simulation cell), and every other identity field of any other task.
+    """
+    if isinstance(task, SimTask):
+        return config_to_dict(task.config)
+    return {name: value for name, value in _identity(task).items() if name != "app"}
+
+
+def task_key(task) -> str:
+    """Stable content hash of one cell's fields.
 
     The key depends only on field values — not on object identity or
     field declaration order — so the same logical cell maps to the same
-    result entry across processes, sessions and matrices.
+    result entry across processes, sessions and matrices. A
+    :class:`SimTask` hashes ``{"app", "config"}``.
     """
-    payload = {"app": task.app, "config": config_to_dict(task.config)}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(_identity(task), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -497,22 +512,10 @@ def _seconds(value: Optional[float]) -> Optional[float]:
 def _manifest_entry(result: TaskResult, key: str) -> dict:
     task = result.task
     report = result.diagnostics or CellReport()
-    us_per_access = None
-    reused = result.from_checkpoint or result.from_store
-    if result.stats is not None and result.stats.l1_accesses and not reused:
-        us_per_access = round(1e6 * result.wall_seconds / result.stats.l1_accesses, 3)
     entry = {
         "key": key,
         "index": result.index,
-        "app": task.app,
-        "policy": task.config.snoop_policy.value,
-        "content_policy": task.config.content_policy.value,
-        "filter": task.config.filter_kind,
-        "topology": task.config.topology,
-        "num_cores": task.config.num_cores,
-        "num_vms": task.config.num_vms,
-        "migration_period_ms": task.config.migration_period_ms,
-        "seed": task.config.seed,
+        **task.describe(),
         "ok": result.ok,
         "from_checkpoint": result.from_checkpoint,
         "from_store": result.from_store,
@@ -520,11 +523,15 @@ def _manifest_entry(result: TaskResult, key: str) -> dict:
         "wall_seconds": round(result.wall_seconds, 3),
         "warm_seconds": _seconds(report.warm_seconds),
         "measure_seconds": _seconds(report.measure_seconds),
-        "us_per_access": us_per_access,
         "error": result.error,
     }
-    if result.stats is not None:
-        stats = result.stats
+    if task.result_type is not SimStats:
+        return entry
+    entry["us_per_access"] = None
+    stats = result.stats
+    if stats is not None:
+        if stats.l1_accesses and not (result.from_checkpoint or result.from_store):
+            entry["us_per_access"] = round(1e6 * result.wall_seconds / stats.l1_accesses, 3)
         # Consolidation-study scaling columns: how big the snoop maps
         # grew and what fraction of the broadcast snoops the filter
         # saved, per cell.
@@ -546,8 +553,8 @@ def _manifest_entry(result: TaskResult, key: str) -> dict:
     # Cells run with a metrics recorder carry their time-series into the
     # manifest, so a campaign's temporal behaviour (Figures 7-9) is
     # inspectable without re-running anything.
-    if result.stats is not None and result.stats.metrics is not None:
-        entry["metrics"] = result.stats.metrics.to_dict()
+    if stats is not None and stats.metrics is not None:
+        entry["metrics"] = stats.metrics.to_dict()
     return entry
 
 
@@ -656,7 +663,7 @@ class _Progress:
 
 
 # ----------------------------------------------------------------------
-# The executor (shared by parallel_map and run_matrix_detailed).
+# The executor.
 # ----------------------------------------------------------------------
 
 
@@ -665,7 +672,6 @@ class _Outcome(NamedTuple):
 
     value: object  # what fn returned; None on failure
     error: Optional[str]  # traceback or reason text; None on success
-    cause: Optional[BaseException]  # the exception, only when it pickles
     attempts: int
     wall_seconds: float
 
@@ -681,23 +687,18 @@ def _attempt_cell(fn, item, retries) -> _Outcome:
     """Run one item, retrying a failure in place up to ``retries`` times.
 
     Only ``Exception`` is captured, so ``KeyboardInterrupt`` propagates.
-    The last attempt's exception rides along only when it survives a
-    pickle round trip; otherwise sending the outcome back from a worker
-    would fail and the failure would read as a worker death.
+    A failure travels as its traceback text, which any worker can send
+    back, whether or not the exception itself would unpickle.
     """
     start = time.perf_counter()
     for attempts in range(1, max(retries, 0) + 2):
         try:
             value = fn(item)
-        except Exception as exc:
-            error, cause = traceback.format_exc(), exc
+        except Exception:
+            error = traceback.format_exc()
         else:
-            return _Outcome(value, None, None, attempts, time.perf_counter() - start)
-    try:
-        pickle.loads(pickle.dumps(cause))
-    except Exception:
-        cause = None
-    return _Outcome(None, error, cause, attempts, time.perf_counter() - start)
+            return _Outcome(value, None, attempts, time.perf_counter() - start)
+    return _Outcome(None, error, attempts, time.perf_counter() - start)
 
 
 def _worker(conn, fn, item, retries):
@@ -754,7 +755,7 @@ def _run_parallel(fn, items, indices, jobs, retries, task_timeout, on_complete):
                 proc.join()
                 if outcome is None:
                     reason = f"worker died before reporting a result (exit code {proc.exitcode})"
-                    outcome = _Outcome(None, reason, None, 1, now - started)
+                    outcome = _Outcome(None, reason, 1, now - started)
                 on_complete(i, outcome)
             if task_timeout is not None:
                 for i, (proc, conn, started) in list(running.items()):
@@ -764,7 +765,7 @@ def _run_parallel(fn, items, indices, jobs, retries, task_timeout, on_complete):
                         conn.close()
                         del running[i]
                         reason = f"timed out after {task_timeout:g}s"
-                        on_complete(i, _Outcome(None, reason, None, 1, now - started))
+                        on_complete(i, _Outcome(None, reason, 1, now - started))
     except BaseException:
         for proc, _, _ in running.values():
             proc.terminate()
@@ -791,54 +792,20 @@ def _execute(fn, items, indices, jobs, retries, task_timeout, on_complete):
 # ----------------------------------------------------------------------
 
 
-def parallel_map(
-    fn: Callable[[T], R], items: Iterable[T], jobs: Optional[int] = None
-) -> List[R]:
-    """Apply ``fn`` to every item, preserving input order in the result.
-
-    Runs on the campaign executor (one worker process per item, at most
-    ``jobs`` alive); the results must pickle, and so must ``fn`` and the
-    items under a non-fork start method. Results come back in input
-    order regardless of completion order, so callers can zip them
-    against their task lists.
-
-    A failing item — an exception, or a worker that died — raises
-    :class:`WorkerError` for the lowest failing index, naming the item
-    (identically at any job count, the serial path included), with the
-    worker's exception chained when it pickled. Ctrl-C terminates the
-    running workers.
-    """
-    items = list(items)
-    jobs = _resolve_jobs(jobs, len(items))
-    outcomes: list = [None] * len(items)
-    _execute(fn, items, range(len(items)), jobs, 0, None, outcomes.__setitem__)
-    for index, outcome in enumerate(outcomes):
-        if outcome.error is not None:
-            item_text = repr(items[index])
-            if len(item_text) > 200:
-                item_text = item_text[:200] + "..."
-            raise WorkerError(
-                index,
-                items[index],
-                f"parallel task {index} ({item_text}) failed:\n{outcome.error}",
-            ) from outcome.cause
-    return [outcome.value for outcome in outcomes]
-
-
 def _without_report(task_fn, task):
     """Adapt a custom ``task_fn`` to the ``(stats, report)`` shape."""
     return task_fn(task), None
 
 
 def run_matrix_detailed(
-    tasks: Sequence[SimTask],
+    tasks: Sequence[Any],
     jobs: Optional[int] = None,
     *,
     retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
     label: Optional[str] = None,
-    task_fn: Callable[[SimTask], SimStats] = run_simulation_task,
+    task_fn: Callable[[Any], Any] = run_simulation_task,
     progress: Optional[bool] = None,
 ) -> List[TaskResult]:
     """Run a matrix with per-cell fault isolation; never loses a cell.
@@ -855,8 +822,10 @@ def run_matrix_detailed(
     interrupted, in which case :class:`CampaignInterrupted` carries the
     partial results.
 
-    ``task_timeout`` needs worker processes to enforce, so it is ignored
-    on the inline ``jobs=1`` path.
+    ``task_fn`` runs one cell; a custom one runs any task of the shape
+    the module docstring describes, and is served campaign entries
+    only, never global ones. ``task_timeout`` needs worker processes to
+    enforce, so it is ignored on the inline ``jobs=1`` path.
     """
     tasks = list(tasks)
     settings = campaign_settings()
@@ -871,15 +840,15 @@ def run_matrix_detailed(
     jobs = _resolve_jobs(jobs, len(tasks))
 
     keys = [task_key(task) for task in tasks]
-    configs = [config_to_dict(task.config) for task in tasks]
+    configs = [_entry_config(task) for task in tasks]
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     campaign = ResultStore(Path(checkpoint_dir)) if checkpoint_dir else None
     if campaign is not None:
         campaign.root.mkdir(parents=True, exist_ok=True)
     # The global store holds run_simulation_task results; a custom task_fn
-    # computes something else under the same keys, so it is never served
-    # global entries (campaign entries are per-campaign and stay the
-    # caller's responsibility to scope). The real simulation skips
+    # computes something else, so it is never served global entries
+    # (campaign entries are per-campaign and stay the caller's
+    # responsibility to scope). The real simulation skips
     # run_simulation_task's own lookup: cells reaching the executor have
     # already missed the one below.
     simulate = task_fn is run_simulation_task
@@ -896,7 +865,10 @@ def run_matrix_detailed(
     to_run: List[int] = []
     for i, task in enumerate(tasks):
         before = store.counters() if store is not None else {}
-        found = [s.load_result(keys[i], task.app, configs[i]) for s in stores]
+        found = [
+            s.load_result(keys[i], task.app, configs[i], task.result_type)
+            for s in stores
+        ]
         if simulate:
             lookups[i] = CellReport(store=_traffic_since(store, before))
         stats = next((hit for hit in found if hit is not None), None)
@@ -959,14 +931,15 @@ def run_matrix_detailed(
 
 
 def run_matrix(
-    tasks: Sequence[SimTask],
+    tasks: Sequence[Any],
     jobs: Optional[int] = None,
     *,
     retries: Optional[int] = None,
     task_timeout: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
     label: Optional[str] = None,
-) -> List[SimStats]:
+    task_fn: Callable[[Any], Any] = run_simulation_task,
+) -> List[Any]:
     """Run an experiment matrix; results align index-for-index with tasks.
 
     Built on :func:`run_matrix_detailed`, so the campaign store, retries
@@ -985,6 +958,7 @@ def run_matrix(
         task_timeout=task_timeout,
         checkpoint_dir=checkpoint_dir,
         label=label,
+        task_fn=task_fn,
     )
     for result in detailed:
         if not result.ok:

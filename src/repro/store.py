@@ -15,7 +15,9 @@ with the same on-disk layout and the same checks.
   — ``run_matrix``, the CLI ``run``/``experiment`` subcommands, every
   experiment driver and the paper-figure suite under ``benchmarks/`` —
   reuses them. The repo benchmark ``bench/`` does not: it builds
-  systems directly and runs with the store off.
+  systems directly and runs with the store off. A campaign store also
+  holds the ``SchedulerResult`` of each scheduler-study cell, keyed by
+  the same hash of the cell's own fields; the global store never does.
 * **warm-state snapshots** — ``snapshots/<key>.pkl``: the post-warmup
   architectural state of a simulated system
   (:meth:`repro.sim.system.SimulatedSystem.snapshot`), keyed by a
@@ -57,13 +59,7 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    # Imported lazily at runtime: repro.sim.runner imports this module
-    # at import time, so a top-level import of anything under repro.sim
-    # would be circular whenever repro.store is imported first.
-    from repro.sim.stats import SimStats
+from typing import Any, Optional
 
 STORE_ENV_VAR = "REPRO_STORE"
 SNAPSHOT_ENV_VAR = "REPRO_SNAPSHOTS"
@@ -158,15 +154,23 @@ class ResultStore:
         return self.results_dir / f"{key}.json"
 
     def load_result(
-        self, key: str, app: str, config_dict: dict
-    ) -> Optional["SimStats"]:
-        """The stored stats for this exact cell, or ``None``.
+        self, key: str, app: str, config_dict: dict, result_type: Any = None
+    ) -> Any:
+        """The stored result for this exact cell, or ``None``.
 
-        Counts a hit, a miss (no entry), or a loud skip (entry present
-        but unservable: wrong version, wrong key, identity mismatch,
-        corrupt JSON).
+        ``result_type`` (``SimStats`` by default) rebuilds the entry
+        through its ``from_dict``. Counts a hit, a miss (no entry), or a
+        loud skip (entry present but unservable: wrong version, wrong
+        key, identity mismatch, corrupt JSON).
         """
-        from repro.sim.stats import SimStats
+        if result_type is None:
+            # Imported here: repro.sim.runner imports this module at
+            # import time, so a top-level import of anything under
+            # repro.sim would be circular whenever repro.store is
+            # imported first.
+            from repro.sim.stats import SimStats
+
+            result_type = SimStats
 
         path = self._result_path(key)
         try:
@@ -178,7 +182,7 @@ class ResultStore:
             payload = json.loads(text)
             reason = self._check_result(payload, key, app, config_dict)
             if reason is None:
-                return self._hit(SimStats.from_dict(payload["stats"]))
+                return self._hit(result_type.from_dict(payload["stats"]))
         except (ValueError, KeyError, TypeError) as exc:
             reason = f"corrupt entry ({exc.__class__.__name__}: {exc})"
         self._skip("result", path, reason)
@@ -206,7 +210,7 @@ class ResultStore:
             return "corrupt entry (no stats)"
         return None
 
-    def save_result(self, key: str, app: str, config_dict: dict, stats: "SimStats") -> None:
+    def save_result(self, key: str, app: str, config_dict: dict, stats: Any) -> None:
         """Persist one cell atomically (rename over partial writes)."""
         payload = {
             "format": _RESULT_FORMAT,
@@ -304,7 +308,7 @@ class ResultStore:
     # Accounting.
     # ------------------------------------------------------------------
 
-    def _hit(self, stats: "SimStats") -> "SimStats":
+    def _hit(self, stats: Any) -> Any:
         self.hits += 1
         return stats
 

@@ -1,5 +1,7 @@
 """Smoke + shape tests for the experiment drivers (reduced sizes)."""
 
+import json
+
 import pytest
 
 from repro.core.filter import SnoopPolicy
@@ -13,6 +15,8 @@ from repro.experiments import (
     pinned_study,
     sched_study,
 )
+from repro.sim import CampaignInterrupted
+from repro.sim.runner import CAMPAIGN_ENV_VAR, JOBS_ENV_VAR
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +60,35 @@ class TestSchedStudy:
         results = sched_study.run(["dedup"])
         assert "Figure 3" in sched_study.format_figure3(results)
         assert "Table I" in sched_study.format_table1(results)
+
+    def test_interrupted_campaign_resumes_to_the_uninterrupted_result(
+        self, tmp_path, monkeypatch
+    ):
+        uninterrupted = sched_study.run(["dedup"])
+        monkeypatch.setenv(JOBS_ENV_VAR, "1")
+        monkeypatch.setenv(CAMPAIGN_ENV_VAR, str(tmp_path))
+        run_task = sched_study.run_task
+        calls = []
+
+        def interrupt_third_cell(task):
+            calls.append(task)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_task(task)
+
+        monkeypatch.setattr(sched_study, "run_task", interrupt_third_cell)
+        with pytest.raises(CampaignInterrupted):
+            sched_study.run(["dedup"])
+        monkeypatch.setattr(sched_study, "run_task", run_task)
+        assert sched_study.run(["dedup"]) == uninterrupted
+
+        manifest = json.loads((tmp_path / "manifest-fig3_tab1.json").read_text())
+        assert manifest["totals"]["from_checkpoint"] == 2
+        entries = manifest["tasks"]
+        assert [e["policy"] for e in entries] == ["pinned", "credit"] * 2
+        assert [e["num_vms"] for e in entries] == [2, 2, 4, 4]
+        assert [e["seed"] for e in entries] == [7] * 4
+        assert all(e["ok"] and e["wall_seconds"] >= 0 for e in entries)
 
 
 class TestPinnedStudy:

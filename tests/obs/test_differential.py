@@ -1,7 +1,7 @@
 """Observers must not perturb the simulation they observe.
 
 The same config is run four ways — serial, through two-worker
-``parallel_map``, with the tracer attached, and with the metrics
+``run_matrix``, with the tracer attached, and with the metrics
 recorder attached — and the resulting ``SimStats`` are compared **bit
 for bit** (canonical JSON encoding). This is the ``--sanitize``
 guarantee extended to the whole observability layer: with tracing and
@@ -17,7 +17,7 @@ import json
 from repro.core.filter import SnoopPolicy
 from repro.sim import SimConfig, SimTask
 from repro.sim.kernel import BatchedEngine, engine_for
-from repro.sim.runner import parallel_map, run_simulation_task
+from repro.sim.runner import run_matrix, run_simulation_task
 from repro.sim.system import build_system
 from repro.workloads.profiles import get_profile
 
@@ -36,11 +36,15 @@ def canonical(stats, drop_metrics=False) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def test_serial_parallel_traced_and_metered_runs_are_bit_identical(tmp_path):
+def test_serial_parallel_traced_and_metered_runs_are_bit_identical(tmp_path, monkeypatch):
     tasks = [SimTask(BASE, "ocean"), SimTask(BASE, "fft")]
 
     serial = [run_simulation_task(t) for t in tasks]
-    pooled = parallel_map(run_simulation_task, tasks, jobs=2)
+    # Store off, so the pooled cells simulate in workers instead of
+    # being served the serial results.
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_STORE", "off")
+        pooled = run_matrix(tasks, jobs=2)
     traced = [
         run_simulation_task(
             SimTask(

@@ -8,6 +8,7 @@ against ``jobs=4`` field by field across the whole SimStats surface.
 """
 
 import dataclasses
+import json
 import os
 
 import pytest
@@ -17,8 +18,8 @@ from repro.sim import (
     SimConfig,
     SimTask,
     default_jobs,
-    parallel_map,
     run_matrix,
+    run_matrix_detailed,
     run_simulation_task,
     set_default_jobs,
 )
@@ -74,23 +75,30 @@ class TestDefaultJobs:
         assert default_jobs() == 1
 
 
-def _square(x):
-    return x * x
+def _seed_squared(task):
+    return task.config.seed**2
 
 
-class TestParallelMap:
-    def test_serial_preserves_order(self):
-        assert parallel_map(_square, range(6), jobs=1) == [0, 1, 4, 9, 16, 25]
+def seed_tasks(*seeds):
+    return [SimTask(small_config(seed=seed), "fft") for seed in seeds]
 
-    def test_parallel_preserves_order(self):
-        assert parallel_map(_square, range(6), jobs=3) == [0, 1, 4, 9, 16, 25]
 
-    def test_empty_input(self):
-        assert parallel_map(_square, [], jobs=4) == []
+class TestMatrixOrder:
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_results_keep_input_order(self, jobs):
+        results = run_matrix_detailed(seed_tasks(*range(6)), jobs=jobs, task_fn=_seed_squared)
+        assert [r.index for r in results] == list(range(6))
+        assert [r.stats for r in results] == [0, 1, 4, 9, 16, 25]
 
-    def test_jobs_capped_to_items(self):
-        # More jobs than items must not fail (jobs are capped to the items).
-        assert parallel_map(_square, [7], jobs=8) == [49]
+    def test_empty_task_list(self):
+        assert run_matrix_detailed([], jobs=4, task_fn=_seed_squared) == []
+
+    def test_jobs_capped_to_tasks(self, tmp_path):
+        # More jobs than tasks must not fail; the manifest records the cap.
+        results = run_matrix_detailed(seed_tasks(7), jobs=8, checkpoint_dir=str(tmp_path))
+        assert results[0].ok
+        (manifest,) = tmp_path.glob("manifest-*.json")
+        assert json.loads(manifest.read_text())["jobs"] == 1
 
 
 def stats_fields(stats):
@@ -102,7 +110,10 @@ def stats_fields(stats):
 
 
 class TestDeterminism:
-    def test_serial_equals_jobs4_field_by_field(self):
+    # Store off: a store-served parallel run would only echo the serial one.
+
+    def test_serial_equals_jobs4_field_by_field(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "off")
         tasks = [
             SimTask(small_config(snoop_policy=SnoopPolicy.VSNOOP_BASE, seed=3), "fft"),
             SimTask(small_config(snoop_policy=SnoopPolicy.BROADCAST, seed=3), "fft"),
@@ -132,8 +143,10 @@ class TestDeterminism:
                     s_stats.coherence, field.name
                 ), f"coherence field {field.name!r} differs"
 
-    def test_worker_matches_inline_run(self):
+    def test_worker_matches_inline_run(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "off")
         task = SimTask(small_config(seed=5), "radix")
         inline = run_simulation_task(task)
-        pooled = run_matrix([task], jobs=2)[0]
-        assert stats_fields(inline) == stats_fields(pooled)
+        # Two cells, so jobs=2 is not capped to the inline path.
+        for pooled in run_matrix([task, task], jobs=2):
+            assert stats_fields(inline) == stats_fields(pooled)

@@ -5,9 +5,9 @@ The guarantees under test:
 * one crashing cell never discards the others, and the failure
   identifies the task (index, app) — identically at any job count;
 * a worker process dying abruptly, or exceeding the task timeout, is
-  recorded as that cell's failure while its siblings complete (and
-  ``parallel_map``, on the same executor, raises for it instead of
-  waiting forever);
+  recorded as that cell's failure while its siblings complete;
+* a failure travels back as traceback text, so an exception that
+  cannot be unpickled is still reported;
 * Ctrl-C mid-campaign keeps the completed cells (saved when a
   campaign directory is active) and the resumed matrix is
   bit-identical — full ``SimStats`` dict diff — to an uninterrupted
@@ -30,9 +30,7 @@ from repro.sim import (
     SimConfig,
     SimTask,
     TaskError,
-    WorkerError,
     campaign_settings,
-    parallel_map,
     run_matrix,
     run_matrix_detailed,
     set_campaign,
@@ -80,18 +78,6 @@ def _flaky(task):
     return run_simulation_task(task)
 
 
-def _square_or_boom(x):
-    if x == 2:
-        raise ValueError("x is two")
-    return x * x
-
-
-def _square_or_die(x):
-    if x == 2:
-        os._exit(17)
-    return x * x
-
-
 class _TwoArgError(Exception):
     """Pickles, but cannot be unpickled: its ``args`` hold one value."""
 
@@ -99,10 +85,10 @@ class _TwoArgError(Exception):
         super().__init__(f"{a}/{b}")
 
 
-def _raise_two_arg(x):
-    if x == 1:
-        raise _TwoArgError(x, "b")
-    return x
+def _raise_two_arg(task):
+    if task.config.seed == 2:
+        raise _TwoArgError(task.config.seed, "b")
+    return task.config.seed
 
 
 class TestCrashIsolation:
@@ -150,41 +136,18 @@ class TestCrashIsolation:
         assert results[0].ok
         assert "timed out" in results[1].error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unpicklable_exception_reported_as_text(self, jobs):
+        results = run_matrix_detailed(seed_tasks(1, 2, 3), jobs=jobs, task_fn=_raise_two_arg)
+        assert [r.stats for r in results] == [1, None, 3]
+        assert "_TwoArgError: 2/b" in results[1].error
+
     def test_retries_recover_a_transient_failure(self):
         _FLAKY_CALLS["count"] = 0
         tasks = seed_tasks(1)
         results = run_matrix_detailed(tasks, jobs=1, task_fn=_flaky, retries=1)
         assert results[0].ok
         assert results[0].attempts == 2
-
-
-class TestParallelMapFailures:
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_failure_identifies_index_and_chains_cause(self, jobs):
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_square_or_boom, range(5), jobs=jobs)
-        assert excinfo.value.index == 2
-        assert excinfo.value.item == 2
-        assert isinstance(excinfo.value.__cause__, ValueError)
-        assert "x is two" in str(excinfo.value)
-
-    def test_success_unchanged(self):
-        assert parallel_map(_square_or_boom, [0, 1, 3], jobs=2) == [0, 1, 9]
-
-    def test_worker_death_raises_for_its_index(self):
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_square_or_die, range(5), jobs=2)
-        assert excinfo.value.index == 2
-        assert excinfo.value.item == 2
-        assert "exit code 17" in str(excinfo.value)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exception_that_cannot_round_trip_is_reported_without_cause(self, jobs):
-        with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_raise_two_arg, range(3), jobs=jobs)
-        assert excinfo.value.index == 1
-        assert excinfo.value.__cause__ is None
-        assert "_TwoArgError: 1/b" in str(excinfo.value)
 
 
 class TestCheckpointResume:

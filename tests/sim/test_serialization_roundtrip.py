@@ -32,10 +32,11 @@ from hypothesis import strategies as st
 
 import repro
 from repro.coherence.stats import CoherenceStats
+from repro.hypervisor.scheduler import SchedulerResult
 from repro.obs.series import MetricsSeries, MetricsWindow
 from repro.sim.stats import SimStats
 
-ROUND_TRIP_TYPES = (SimStats, CoherenceStats, MetricsWindow, MetricsSeries)
+ROUND_TRIP_TYPES = (SimStats, CoherenceStats, MetricsWindow, MetricsSeries, SchedulerResult)
 
 
 def _non_default(tp):
@@ -43,6 +44,8 @@ def _non_default(tp):
     origin, args = get_origin(tp), get_args(tp)
     if tp is int:
         return st.integers(min_value=1, max_value=2**53)
+    if tp is float:
+        return st.floats(allow_nan=False, allow_infinity=False).filter(bool)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return st.sampled_from(tp)
     if origin is dict:
@@ -114,7 +117,13 @@ def test_populated_instance_round_trips(cls, data):
 
 @pytest.mark.parametrize(
     "value",
-    [SimStats(), CoherenceStats(), MetricsWindow(start=0, width=1), MetricsSeries(1)],
+    [
+        SimStats(),
+        CoherenceStats(),
+        MetricsWindow(start=0, width=1),
+        MetricsSeries(1),
+        SchedulerResult(0.0, {}, 0, 0, 0),
+    ],
     ids=lambda value: type(value).__name__,
 )
 def test_default_instance_round_trips(value):

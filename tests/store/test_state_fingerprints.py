@@ -7,7 +7,9 @@ on, taken from live objects rather than parsed from source:
 
 * ``dataclasses.fields()`` of ``SimConfig`` (minus
   ``WARMUP_INERT_FIELDS``), ``SimStats``, ``CoherenceStats``,
-  ``MetricsWindow`` and ``MetricsSeries``;
+  ``MetricsWindow`` and ``MetricsSeries``, and of the scheduler study's
+  ``SchedulerConfig`` and ``SchedulerResult`` (campaign stores hold its
+  cells);
 * the ``WARMUP_INERT_FIELDS`` and ``SUITES`` keys;
 * the keys of a real ``SimulatedSystem.snapshot`` payload.
 
@@ -28,6 +30,7 @@ from typing import Dict, List
 import pytest
 
 from repro.coherence.stats import CoherenceStats
+from repro.hypervisor.scheduler import SchedulerConfig, SchedulerResult
 from repro.obs.series import MetricsSeries, MetricsWindow
 from repro.sim import SimConfig, SimulationEngine, build_system
 from repro.sim.runner import WARMUP_INERT_FIELDS
@@ -55,6 +58,8 @@ def current_fingerprints() -> dict:
             "CoherenceStats": _field_names(CoherenceStats),
             "MetricsWindow": _field_names(MetricsWindow),
             "MetricsSeries": _field_names(MetricsSeries),
+            "SchedulerConfig": _field_names(SchedulerConfig),
+            "SchedulerResult": _field_names(SchedulerResult),
             "WARMUP_INERT_FIELDS": sorted(WARMUP_INERT_FIELDS),
             "SUITES": sorted(SUITES),
             "SimulatedSystem.snapshot": sorted(system.snapshot(clocks)),
