@@ -87,27 +87,11 @@ class CoherenceStats:
                 }
         return cls(**kwargs)
 
-    def merge(self, other: "CoherenceStats") -> None:
-        """Accumulate ``other`` into ``self`` (for multi-run aggregation)."""
-        self.snoops += other.snoops
-        self.transactions += other.transactions
-        self.gets_count += other.gets_count
-        self.getm_count += other.getm_count
-        self.retries += other.retries
-        self.persistent_requests += other.persistent_requests
-        self.cache_to_cache += other.cache_to_cache
-        self.memory_sourced += other.memory_sourced
-        self.upgrades += other.upgrades
-        self.invalidations += other.invalidations
-        for page_type in PageType:
-            self.transactions_by_page_type[page_type] += (
-                other.transactions_by_page_type[page_type]
-            )
-            self.snoops_by_page_type[page_type] += other.snoops_by_page_type[page_type]
-        self.ro_misses += other.ro_misses
-        self.ro_holder_any_cache += other.ro_holder_any_cache
-        self.ro_holder_intra_vm += other.ro_holder_intra_vm
-        self.ro_holder_friend_vm += other.ro_holder_friend_vm
-        self.ro_holder_memory_only += other.ro_holder_memory_only
-        self.ro_served_by_cache += other.ro_served_by_cache
-        self.ro_served_by_memory += other.ro_served_by_memory
+    def reset(self) -> None:
+        """Zero every counter in place, keeping each dict's key order."""
+        for f in fields(self):
+            if f.name in _PAGE_TYPE_KEYED:
+                counts = getattr(self, f.name)
+                counts.update(dict.fromkeys(counts, 0))
+            else:
+                setattr(self, f.name, 0)

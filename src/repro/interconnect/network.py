@@ -15,7 +15,7 @@ mild to match.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.interconnect.messages import DEFAULT_SIZING, FlitSizing, MessageKind
 from repro.interconnect.topology import Topology
@@ -177,26 +177,6 @@ class NetworkModel:
         if worst_hops == 0:
             return 0
         return worst_hops * self._per_hop + self.contention_delay()
-
-    def round_trip(
-        self,
-        src: int,
-        dsts: Iterable[int],
-        request_kind: MessageKind,
-        response_kind: MessageKind,
-        responder: Optional[int],
-        cycle: int = 0,
-    ) -> int:
-        """Request multicast plus a single response from ``responder``.
-
-        Returns the full round-trip latency. If ``responder`` is ``None``
-        only the request is charged (e.g. all destinations merely
-        invalidate and ack; acks are charged separately by the caller).
-        """
-        latency = self.multicast(src, dsts, request_kind, cycle)
-        if responder is not None:
-            latency += self.send(responder, src, response_kind, cycle)
-        return latency
 
     def reset(self, cycle: int = 0) -> None:
         """Zero the counters and restart the utilisation window at ``cycle``.

@@ -45,6 +45,8 @@ class MetricsRecorder:
         if sample_every <= 0:
             raise ValueError(f"sample_every must be positive, got {sample_every}")
         self._system = weakref.ref(system)
+        # Zeroed in place at the measurement boundary, so held for life.
+        self._coherence = system.protocol.stats
         self.sample_every = sample_every
         self.windows: list = []
         self._active = False
@@ -124,9 +126,7 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
 
     def _snapshot(self) -> None:
-        # Always through `system`: the stats objects are swapped on the
-        # engine's measurement reset.
-        coherence = self.system.protocol.stats
+        coherence = self._coherence
         self._base_transactions = coherence.transactions
         self._base_snoops = coherence.snoops
         self._base_retries = coherence.retries
@@ -137,7 +137,7 @@ class MetricsRecorder:
         if window is None:
             return
         system = self.system
-        coherence = system.protocol.stats
+        coherence = self._coherence
         window.transactions = coherence.transactions - self._base_transactions
         window.snoops = coherence.snoops - self._base_snoops
         window.retries = coherence.retries - self._base_retries

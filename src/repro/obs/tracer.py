@@ -76,9 +76,9 @@ class Tracer:
         self.clock: Callable[[], int] = SimClock()
         self._transact_fn = None
         self._last_plan = None
-        # The protocol's coherence statistics, bound at the measurement
-        # boundary (the engine swaps them in just before it).
-        self._coherence = None
+        # The protocol's coherence statistics: zeroed in place at the
+        # measurement boundary, so one reference serves the whole run.
+        self._coherence = system.protocol.stats
 
     @property
     def system(self) -> "SimulatedSystem":
@@ -211,7 +211,6 @@ class Tracer:
 
     def begin_measurement(self, cycle: int) -> None:
         """Open the event gate at the measured-phase boundary."""
-        self._coherence = self.system.protocol.stats
         self.enabled = True
         self.sink.emit(PhaseEvent(cycle=cycle, phase="measure"))
 

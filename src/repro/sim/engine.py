@@ -52,8 +52,7 @@ class SimulationEngine:
         self._migration_period = period
         self._next_migration = period if period is not None else None
         # Hot-path aliases: every component below is looked up once per
-        # access in _step, and none of them changes identity during a run
-        # (stats objects are swapped on reset, so they stay on self).
+        # access in _step, and none of them changes identity during a run.
         self._workloads = system.workloads
         self._caches = system.caches
         self._memory = system.hypervisor.memory
@@ -306,19 +305,14 @@ class SimulationEngine:
         self.stats.migrations += 1
 
     def _reset_measurements(self, cycle: int = 0) -> None:
-        """Zero every measurement counter; architectural state persists.
+        """Zero every measurement counter in place; architectural state persists.
 
         ``cycle`` anchors the network's utilisation window at the
         measurement boundary (both the straight warm-up and the
         snapshot-restore path pass ``min(clocks)``, so the two stay
         bit-identical).
         """
-        from repro.sim.stats import SimStats
-
-        fresh = SimStats()
-        self.system.stats = fresh
-        self.system.protocol.stats = fresh.coherence
-        self.stats = fresh
+        self.stats.reset()
         self.system.network.reset(cycle)
         self.system.memory_ctrl.reset()
         for hierarchy in self.system.caches.values():

@@ -134,6 +134,26 @@ class SimStats:
                 }
         return cls(**kwargs)
 
+    def reset(self) -> None:
+        """Zero every counter in place (the measurement boundary).
+
+        Every object stays the one the system was built with — the
+        nested :class:`CoherenceStats` and each dict and list — so a
+        component may hold its stats for the life of the system.
+        Enum-keyed dicts keep their key order, which ``to_dict``
+        follows.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "coherence":
+                value.reset()
+            elif f.name in _ENUM_KEYED:
+                value.update(dict.fromkeys(value, 0))
+            elif isinstance(value, (dict, list)):
+                value.clear()
+            else:
+                setattr(self, f.name, f.default)
+
     # ------------------------------------------------------------------
     # Derived metrics, named after the paper's figures.
     # ------------------------------------------------------------------

@@ -22,21 +22,16 @@ class TestRecording:
         assert stats.snoops_by_page_type[PageType.RW_SHARED] == 16
 
 
-class TestMerge:
-    def test_merge_accumulates_everything(self):
-        a, b = CoherenceStats(), CoherenceStats()
-        a.record_transaction(PageType.VM_PRIVATE, is_write=False)
-        a.record_snoops(4, PageType.VM_PRIVATE)
-        a.retries = 2
-        a.ro_misses = 1
-        b.record_transaction(PageType.RO_SHARED, is_write=True)
-        b.record_snoops(16, PageType.RO_SHARED)
-        b.cache_to_cache = 3
-        b.ro_holder_friend_vm = 1
-        a.merge(b)
-        assert a.transactions == 2
-        assert a.snoops == 20
-        assert a.retries == 2
-        assert a.cache_to_cache == 3
-        assert a.ro_holder_friend_vm == 1
-        assert a.transactions_by_page_type[PageType.RO_SHARED] == 1
+class TestReset:
+    def test_reset_zeroes_in_place_and_keeps_key_order(self):
+        stats = CoherenceStats()
+        by_page_type = stats.transactions_by_page_type
+        stats.record_transaction(PageType.RO_SHARED, is_write=True)
+        stats.record_snoops(16, PageType.RW_SHARED)
+        stats.retries = 2
+        stats.ro_holder_friend_vm = 1
+        stats.reset()
+        assert stats == CoherenceStats()
+        assert stats.transactions_by_page_type is by_page_type
+        assert list(by_page_type) == list(PageType)
+        assert stats.to_dict() == CoherenceStats().to_dict()

@@ -1,4 +1,4 @@
-"""Tests for the round-trip helper and latency composition."""
+"""Tests for latency composition: a request multicast plus one response."""
 
 from repro.interconnect.messages import MessageKind
 from repro.interconnect.network import NetworkModel
@@ -10,22 +10,18 @@ class TestRoundTrip:
         self.net = NetworkModel(MeshTopology(4, 4))
 
     def test_request_plus_response(self):
-        latency = self.net.round_trip(
-            0, [1, 2, 3], MessageKind.REQUEST, MessageKind.DATA, responder=3
-        )
+        latency = self.net.multicast(0, [1, 2, 3], MessageKind.REQUEST)
+        latency += self.net.send(3, 0, MessageKind.DATA)
         # Request to farthest (3 hops) + data back from 3 (3 hops).
         assert latency == 3 * 5 + 3 * 5
         assert self.net.messages == 4  # 3 requests + 1 data
 
     def test_no_responder_charges_requests_only(self):
-        latency = self.net.round_trip(
-            0, [1, 2], MessageKind.REQUEST, MessageKind.DATA, responder=None
-        )
+        latency = self.net.multicast(0, [1, 2], MessageKind.REQUEST)
         assert latency == 2 * 5
         assert self.net.messages == 2
 
     def test_local_responder_is_free_response(self):
-        latency = self.net.round_trip(
-            0, [1], MessageKind.REQUEST, MessageKind.DATA, responder=0
-        )
+        latency = self.net.multicast(0, [1], MessageKind.REQUEST)
+        latency += self.net.send(0, 0, MessageKind.DATA)
         assert latency == 5  # response from self adds nothing

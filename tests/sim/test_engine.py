@@ -1,12 +1,44 @@
 """Integration tests for the simulation engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coherence.registry import cores_of
 from repro.core.filter import ContentPolicy, SnoopPolicy
 from repro.mem.pagetype import PageType
-from repro.sim import SimConfig, SimulationEngine, build_system, run_simulation
+from repro.sim import SimConfig, build_system, run_simulation
+from repro.sim.kernel import engine_for
+from repro.sim.system import CoherenceBridge
 from repro.workloads import get_profile
+
+
+KERNELS = ("reference", "batched")
+
+
+def content_writes_system(**kw):
+    """A canneal system whose guests store to content-shared pages."""
+    defaults = dict(
+        content_sharing_enabled=True,
+        accesses_per_vcpu=2000,
+        warmup_accesses_per_vcpu=500,
+    )
+    defaults.update(kw)
+    profile = replace(get_profile("canneal"), content_write_fraction=0.01)
+    return build_system(SimConfig(**defaults), profile)
+
+
+def measured_cows(kernel):
+    """``(cow_events, COW faults after the boundary)`` of one run."""
+    system = content_writes_system(kernel=kernel)
+    engine = engine_for(system)
+    clocks = engine.warm()
+    faults_before = system.hypervisor.memory.cow_faults
+    engine.measure(clocks)
+    return (
+        system.stats.cow_events,
+        system.hypervisor.memory.cow_faults - faults_before,
+    )
 
 
 def run_small(app="fft", **kw):
@@ -145,17 +177,14 @@ class TestContentSharing:
         assert results[ContentPolicy.MEMORY_DIRECT] < results[ContentPolicy.BROADCAST]
 
     def test_cow_events_when_content_written(self):
-        from dataclasses import replace
-
-        profile = replace(get_profile("canneal"), content_write_fraction=0.01)
-        config = SimConfig(
-            content_sharing_enabled=True,
-            accesses_per_vcpu=2000,
-            warmup_accesses_per_vcpu=500,
-        )
-        system = build_system(config, profile)
-        SimulationEngine(system).run()
-        assert system.stats.cow_events + system.hypervisor.memory.cow_faults > 0
+        # Measured cow_events counts exactly the COW faults taken after
+        # the measurement boundary, and both kernels count the same.
+        counts = {
+            kernel: measured_cows(kernel) for kernel in ("auto", *KERNELS)
+        }
+        cow_events, cow_faults = counts["auto"]
+        assert cow_events == cow_faults > 0
+        assert counts["reference"] == counts["batched"] == counts["auto"]
 
 
 class TestHypervisorActivity:
@@ -173,3 +202,42 @@ class TestHypervisorActivity:
         assert (
             system.stats.coherence.transactions_by_page_type[PageType.RW_SHARED] > 0
         )
+
+
+class TestMeasurementBoundary:
+    """The boundary zeroes the counters in place: every holder keeps the
+    stats objects the system was built with, and they read the measured
+    phase afterwards — on the straight path and after a snapshot
+    restore."""
+
+    @pytest.mark.parametrize("path", ["straight", "snapshot"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_built_stats_hold_the_measured_results(self, kernel, path):
+        system = content_writes_system(kernel=kernel)
+        stats, coherence = system.stats, system.protocol.stats
+        bridge = next(
+            listener
+            for listener in system.hypervisor._listeners
+            if isinstance(listener, CoherenceBridge)
+        )
+        engine = engine_for(system)
+        if path == "straight":
+            clocks = engine.warm()
+        else:
+            producer = content_writes_system(kernel=kernel)
+            clocks = engine.restore_warm(
+                producer.snapshot(engine_for(producer).warm())
+            )
+        faults_before = system.hypervisor.memory.cow_faults
+        engine.measure(clocks)
+
+        assert system.stats is stats and engine.stats is stats
+        assert system.protocol.stats is coherence is stats.coherence
+        assert bridge.stats is stats
+        assert stats.l1_accesses == 16 * 2000  # the measured phase only
+        assert coherence.transactions == sum(
+            stats.transactions_by_initiator.values()
+        ) > 0
+        assert stats.cow_events == (
+            system.hypervisor.memory.cow_faults - faults_before
+        ) > 0

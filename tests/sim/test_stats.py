@@ -53,6 +53,44 @@ class TestDerivedMetrics:
         assert stats.miss_rate() == pytest.approx(0.01)
 
 
+class TestReset:
+    def test_reset_zeroes_every_field_in_place(self):
+        from repro.obs.series import MetricsSeries
+        from repro.sanitizer.violation import SanitizerCheck
+
+        stats = SimStats()
+        held = {
+            f.name: getattr(stats, f.name)
+            for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), (CoherenceStats, dict, list))
+        }
+        stats.coherence.record_transaction(PageType.RO_SHARED, is_write=True)
+        stats.l1_accesses = 7
+        stats.l1_accesses_by_page_type[PageType.RO_SHARED] = 3
+        stats.transactions_by_initiator[Initiator.DOM0] = 2
+        stats.cow_events = stats.migrations = stats.flush_writebacks = 1
+        stats.execution_cycles = stats.network_bytes = 9
+        stats.network_messages = 9
+        stats.removal_periods_cycles.append(5)
+        stats.removal_periods_dropped = 1
+        stats.metrics = MetricsSeries(sample_every=10)
+        stats.sanitizer_violations[SanitizerCheck.STATE] = 1
+        stats.snoop_map_sizes[1] = 4
+        fresh = SimStats()
+        assert all(
+            getattr(stats, f.name) != getattr(fresh, f.name)
+            for f in dataclasses.fields(stats)
+        ), "every field must leave its default before the reset"
+
+        stats.reset()
+
+        assert stats == fresh
+        # Key order included: to_dict follows it.
+        assert json.dumps(stats.to_dict()) == json.dumps(fresh.to_dict())
+        for name, value in held.items():
+            assert getattr(stats, name) is value, name
+
+
 class TestSerialization:
     """The JSON round trip campaign checkpoints rely on must be lossless."""
 

@@ -13,11 +13,15 @@ import pytest
 
 from repro.coherence.registry import cores_of
 from repro.core.filter import ContentPolicy, SnoopPolicy
-from repro.sim import SimConfig, SimulationEngine, build_system
+from repro.sim import SimConfig, build_system
+from repro.sim.kernel import engine_for
 from repro.workloads import get_profile
 
 
-def stress_system(policy, content_policy=ContentPolicy.FRIEND_VM, seed=5):
+def stress_system(
+    policy, content_policy=ContentPolicy.FRIEND_VM, seed=5, kernel="auto"
+):
+    """Run one stress cell; returns ``(system, measured COW faults)``."""
     profile = replace(
         get_profile("canneal"),
         content_write_fraction=0.005,  # force COW churn
@@ -30,10 +34,14 @@ def stress_system(policy, content_policy=ContentPolicy.FRIEND_VM, seed=5):
         accesses_per_vcpu=8_000,
         warmup_accesses_per_vcpu=2_000,
         seed=seed,
+        kernel=kernel,
     )
     system = build_system(config, profile)
-    SimulationEngine(system).run()
-    return system
+    engine = engine_for(system)
+    clocks = engine.warm()
+    faults_before = system.hypervisor.memory.cow_faults
+    engine.measure(clocks)
+    return system, system.hypervisor.memory.cow_faults - faults_before
 
 
 POLICIES = [
@@ -46,11 +54,12 @@ POLICIES = [
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 def test_stress_all_features(policy):
-    system = stress_system(policy)
+    system, cow_faults = stress_system(policy)
     stats = system.stats
     assert stats.total_transactions > 0
     assert stats.migrations > 0
-    assert stats.cow_events > 0 or system.hypervisor.memory.cow_faults > 0
+    # Every COW fault of the measured phase, and only those.
+    assert stats.cow_events == cow_faults > 0
     # Registry and caches stayed consistent through migrations, COWs,
     # invalidations, page frees and speculative map removals.
     for core, hierarchy in system.caches.items():
@@ -72,13 +81,23 @@ def test_stress_all_features(policy):
     "content_policy", list(ContentPolicy), ids=lambda p: p.value
 )
 def test_stress_content_policies(content_policy):
-    system = stress_system(SnoopPolicy.VSNOOP_COUNTER, content_policy)
+    system, _ = stress_system(SnoopPolicy.VSNOOP_COUNTER, content_policy)
     assert system.stats.total_transactions > 0
 
 
 def test_stress_deterministic():
-    a = stress_system(SnoopPolicy.VSNOOP_COUNTER_THRESHOLD, seed=9)
-    b = stress_system(SnoopPolicy.VSNOOP_COUNTER_THRESHOLD, seed=9)
+    a, _ = stress_system(SnoopPolicy.VSNOOP_COUNTER_THRESHOLD, seed=9)
+    b, _ = stress_system(SnoopPolicy.VSNOOP_COUNTER_THRESHOLD, seed=9)
     assert a.stats.total_snoops == b.stats.total_snoops
     assert a.stats.cow_events == b.stats.cow_events
     assert a.stats.migrations == b.stats.migrations
+
+
+def test_stress_cow_events_match_across_kernels():
+    counts = []
+    for kernel in ("reference", "batched"):
+        system, cow_faults = stress_system(SnoopPolicy.VSNOOP_COUNTER, kernel=kernel)
+        counts.append((system.stats.cow_events, cow_faults))
+    reference, batched = counts
+    assert reference == batched
+    assert reference[0] == reference[1] > 0
